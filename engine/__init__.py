@@ -11,7 +11,8 @@ A from-scratch re-expression of the capabilities of the reference
                            ``SharePointClient.cs:207-208,387,92-94``).
 - ``engine.synth``         deterministic synthetic Common-Crawl-style corpus
                            (FIXTURES.md schema: url, warc_ts, html, text, lang).
-- ``engine.seen``          sharded Bloom-filter URL-seen set in named actors.
+- ``engine.seen``          sharded Bloom + sorted-array URL-seen set, one
+                           immutable value per crawl round.
 - ``engine.politeness``    robots.txt gating + per-host round budgets.
 - ``engine.frontier``      priority ordering + budget slicing + skew pre-pruning.
 - ``engine.checkpoint``    per-round parquet checkpoints, counters, lineage, resume.

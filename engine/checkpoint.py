@@ -6,18 +6,32 @@ resumes from the last complete round with identical results (north-rule
 requirement: "resumable from checkpoint with per-partition lineage +
 metrics").
 
-Layout (all writes atomic: files first, ``_SUCCESS`` marker last)::
+Layout (data files first, ``counters.json`` then ``_SUCCESS`` last; both
+are written to a temp file, fsynced and renamed into place, so a crash never
+leaves a torn one and a round without ``_SUCCESS`` is simply re-run)::
 
     ckpt_dir/
       round=R/
-        selected.parquet       # the round's fetch schedule (order table rows)
-        frontier_next.parquet  # candidates entering round R+1
-        seen_delta.parquet     # url hashes attempted in round R (seen-set delta)
-        counters.json          # round + cumulative counters, lineage
+        selected.parquet       # the round's fetch schedule (driver-selected
+        seen_delta.parquet     #   rounds) and the url hashes it attempted
+        selected/part_*.parquet  # OR: the schedule parts written by the
+                               #   distributed finalize; their url_hash
+                               #   column is the round's seen delta
+        frontier_next.parquet  # extras entering round R+1: budget overflow
+                               #   and fetch-miss retries
+        frontier_children/     # parquet parts: links exploded from the docs
+        frontier_deferred/     # parquet parts: deferred rows of distributed
+                               #   selection
+        errors.parquet         # fetch misses as rows (when any)
+        counters.json          # round + cumulative counters, lineage, phases
         _SUCCESS
+      docs/round=R/            # the docs sink: parquet parts + _manifest.json
+                               #   (per-file row counts, schema fingerprint)
 
-The seen set is persisted as per-round *deltas*: resume rebuilds shard state
-as the union of deltas of rounds <= R (O(total urls) read once, instead of
+The checkpoint is the seen set's source of truth.  It is persisted as
+per-round *deltas* (``seen_delta``): the crawl merges each round's delta into
+its in-memory seen value at the barrier, and a resume rebuilds the value as
+the union of the deltas of rounds <= R (O(total urls) read once, instead of
 O(total) rewritten every round).  ``counters.json`` carries lineage
 (``parent_round``, ``config_hash``) so a resume against a different corpus or
 budget is refused instead of silently diverging.
@@ -52,6 +66,29 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Temp file, fsync, rename: ``path`` is either absent, its old content
+    or all of ``text`` — never a prefix."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def selected_files(ckpt_dir: str, r: int) -> list:
     """Parquet files holding round r's fetch schedule, whichever layout the
     round used: a single driver-written ``selected.parquet`` (budget-small
@@ -67,6 +104,22 @@ def selected_files(ckpt_dir: str, r: int) -> list:
             os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
         )
     return []
+
+
+def read_seen_delta(ckpt_dir: str, r: int) -> np.ndarray:
+    """Round r's seen-set delta: the url hashes it attempted, from
+    ``seen_delta.parquet`` or, for a distributed round, the url_hash column
+    of its ``selected/`` schedule parts."""
+    p = os.path.join(ckpt_dir, f"round={r}", "seen_delta.parquet")
+    files = [p] if os.path.exists(p) else selected_files(ckpt_dir, r)
+    parts = [pq.read_table(f, columns=["url_hash"])["url_hash"].to_numpy() for f in files]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def seen_hashes_through(ckpt_dir: str, r: int) -> np.ndarray:
+    """The seen deltas of rounds 0..r, concatenated (not deduplicated)."""
+    parts = [read_seen_delta(ckpt_dir, i) for i in range(r + 1)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 class CheckpointManager:
@@ -153,8 +206,9 @@ class CheckpointManager:
             # Errors are rows, never side effects (SURVEY.md §2.1 S5 — the
             # engine analog of ErrorLogger.cs's TSV, queryable per round).
             pq.write_table(errors, os.path.join(rd, "errors.parquet"))
-        with open(os.path.join(rd, "counters.json"), "w") as f:
-            json.dump(
+        _write_atomic(
+            os.path.join(rd, "counters.json"),
+            json.dumps(
                 {
                     "round": r,
                     "parent_round": r - 1,
@@ -163,11 +217,11 @@ class CheckpointManager:
                     "cumulative": cumulative,
                     "phase_sec": phases or {},
                     "driver_rss_mb": rss_mb,
-                },
-                f,
-            )
-        with open(success, "w") as f:
-            f.write("ok")
+                }
+            ),
+        )
+        _write_atomic(success, "ok")
+        _fsync_dir(rd)
 
     def read_counters(self, r: int) -> dict:
         with open(os.path.join(self._round_dir(r), "counters.json")) as f:
@@ -222,17 +276,7 @@ class CheckpointManager:
         return pa.concat_tables([pq.read_table(f) for f in files])
 
     def seen_hashes_through(self, r: int) -> np.ndarray:
-        parts = []
-        for i in range(r + 1):
-            p = os.path.join(self._round_dir(i), "seen_delta.parquet")
-            if os.path.exists(p):
-                parts.append(pq.read_table(p)["url_hash"].to_numpy())
-            else:  # distributed round: the schedule's url_hash IS the delta
-                for f in selected_files(self.dir, i):
-                    parts.append(
-                        pq.read_table(f, columns=["url_hash"])["url_hash"].to_numpy()
-                    )
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return seen_hashes_through(self.dir, r)
 
     def order_table_through(self, r: int) -> pa.Table:
         tables = [self.read_selected(i) for i in range(r + 1)]

@@ -12,14 +12,15 @@ Round pipeline (narrow columns only until fetch):
     frontier (url, host, path, depth, priority, discovery_seq, retry, url_hash)
       -> SELECTION (adaptive):
          small rounds (frontier <= SMALL_FRONTIER_ROWS): one vectorized
-           driver pass — robots + allow/deny gate, batched seen RPC,
+           driver pass — robots + allow/deny gate, in-process seen probe,
            dedup + per-host top-k (zero dataset executions; the round is
            budget-bounded, so this is a constant, not a scan);
          large rounds, STAGED so decided rows never enter an all-to-all
            (at steady state already-seen rows ARE the frontier; shuffling
            them dominated select at 10^6+ rows):
            stage 0  map_batches(robots_seen_batch)   [map-only; broadcast
-                    rules, batched SeenShard RPC, retry bypass] — most rows
+                    rules + the round's seen value (one ray.put each, cached
+                    per worker), local probe, retry bypass] — most rows
                     die here and go straight to distributed counters
            stage 1  survivors -> add_salt -> groupby(salt).map_groups(
                     dedup_and_salt_topk)  [16 url-closed coarse groups,
@@ -42,7 +43,8 @@ Round pipeline (narrow columns only until fetch):
            (num_cpus=2: allocation-heavy Python — see BENCH/BASELINE.md)
       -> materialize once: write docs/round=R parquet + column-pruned
          projection for the vectorized (Arrow list-kernel) link explode;
-         barrier: seen.add_many, counters, errors, checkpoint.
+         barrier: counters, errors, checkpoint; then the next seen value
+         is merged from the round's seen delta read back from the checkpoint.
 
 Crawl-order semantics: the fetch schedule of round R is the candidates that
 survive robots/dedup/seen/politeness, in the total order
@@ -77,7 +79,7 @@ import ray
 import ray.data as rd
 
 from .canonicalize import canonicalize, host_of, path_of, url_hash64
-from .checkpoint import COUNTER_KEYS, CheckpointManager
+from .checkpoint import COUNTER_KEYS, CheckpointManager, read_seen_delta, seen_hashes_through
 from .extract import extract_document
 from .frontier import (
     FRONTIER_SCHEMA,
@@ -170,35 +172,35 @@ def _disp_arrow(df: pd.DataFrame) -> pa.Table:
 
 
 # Worker-global cache for broadcast objects: worker processes persist across
-# rounds, so the rules dict is fetched once per worker per crawl (keyed by the
-# ObjectRef), not once per round — the same amortization an actor __init__
-# would give, without per-round actor-pool spin-up cost.
+# rounds and crawls, so each ``ray.put`` value is fetched once per worker
+# (keyed by its ObjectRef), not once per batch.  Only the current entry of
+# each kind ("rules", "seen") is kept, so a long-lived worker's memory stays
+# bounded however many crawls and rounds it serves.
 _WORKER_CACHE: dict = {}
 
 
-def _cached_rules(robots_ref) -> RobotsRules:
-    key = robots_ref.hex() if hasattr(robots_ref, "hex") else id(robots_ref)
-    rules = _WORKER_CACHE.get(key)
-    if rules is None:
-        rules = RobotsRules(ray.get(robots_ref))
-        _WORKER_CACHE[key] = rules
-    return rules
+def _cached(kind: str, ref, build=lambda v: v):
+    key = ref.hex()
+    hit = _WORKER_CACHE.get(kind)
+    if hit is None or hit[0] != key:
+        hit = _WORKER_CACHE[kind] = (key, build(ray.get(ref)))
+    return hit[1]
 
 
-def robots_seen_batch(batch: pa.Table, robots_ref, shards, gate: UrlGate) -> pa.Table:
+def robots_seen_batch(batch: pa.Table, robots_ref, seen_ref, gate: UrlGate) -> pa.Table:
     """Vectorized robots + allow/deny gate + seen-set anti-join (no shuffle).
 
     The broadcast-small-side pattern of the reference's allow-list semi-join
-    (``SharePointClient.cs:272-275``): rules arrive once per worker via
-    ``ray.get`` on a ``ray.put`` handle; the gate travels in the task closure;
-    the seen check is one batched RPC per shard per batch.  Rows with retry=1
+    (``SharePointClient.cs:272-275``): the rules and the round's seen value
+    arrive once per worker via ``ray.get`` on ``ray.put`` handles; the gate
+    travels in the task closure; the seen probe is local.  Rows with retry=1
     bypass the seen check (they were added when first attempted).
     Precedence: robots > filtered > seen > cand (mirrored by the oracle).
     """
-    rules = _cached_rules(robots_ref)
+    rules = _cached("rules", robots_ref, RobotsRules)
     blocked = rules.blocked_many(batch["host"], batch["path"])
     filt = gate.filtered_many(batch["url"], batch["path"])
-    seen = check_many_via_handles(shards, batch["url_hash"].to_numpy())
+    seen = check_many_via_handles(_cached("seen", seen_ref), batch["url_hash"].to_numpy())
     retry = batch["retry"].to_numpy()
     status = np.where(
         blocked,
@@ -391,8 +393,8 @@ def _select_on_driver(
 ) -> pa.Table:
     """Driver-side selection for budget-bounded small rounds.
 
-    Identical semantics to the distributed branch — robots gate, batched seen
-    check (retry bypass), in-round dedup (min order key wins, winner inherits
+    Identical semantics to the distributed branch — robots gate, in-process
+    seen probe (retry bypass), in-round dedup (min order key wins, winner inherits
     max retry), per-host top-k — but fully vectorized in one pandas pass
     instead of per-host group calls.
     """
@@ -445,7 +447,6 @@ def _finalize_sorted_block(
     deferred_dir: str,
     selected_dir: str,
     part_id: int,
-    shard_handles: list,
 ):
     """Distributed schedule finalize for ONE globally-sorted candidate block.
 
@@ -455,10 +456,10 @@ def _finalize_sorted_block(
     contiguous numbering without the schedule ever materializing there.
     This task also owns the block's side effects, keeping them off the
     driver: budget-overflow rows spill to the round's deferred parts, the
-    schedule part lands in ``round=R/selected/``, the block's url hashes are
-    added to the seen shards (awaited — the next round's stage-0 check must
-    observe them), and the fetch feed is yielded as bucket-pure tables so
-    each fetch task still reads exactly one pages bucket file.
+    schedule part lands in ``round=R/selected/`` (whose url_hash column is
+    the round's seen delta, merged by the driver at the barrier), and the
+    fetch feed is yielded as bucket-pure tables so each fetch task still
+    reads exactly one pages bucket file.
     """
     sel = tbl.slice(0, sel_n)
     over = tbl.slice(sel_n)
@@ -480,15 +481,6 @@ def _finalize_sorted_block(
     )
     pq.write_table(sel, os.path.join(selected_dir, f"part_{part_id:05d}.parquet"))
     hashes = sel["url_hash"].to_numpy()
-    n_sh = len(shard_handles)
-    sid = hashes % n_sh
-    ray.get(
-        [
-            shard_handles[s].add_many.remote(hashes[sid == s])
-            for s in range(n_sh)
-            if (sid == s).any()
-        ]
-    )
     buckets_np = (hashes % n_buckets).astype(np.int32)
     with_bucket = sel.append_column("bucket", pa.array(buckets_np, pa.int32()))
     for b in np.unique(buckets_np):
@@ -656,7 +648,7 @@ def recrawl(corpus_dir: str, ckpt_dir: str, budget: dict | None = None,
     """Incremental recrawl: detect etag-changed pages and re-ingest EXACTLY
     those (the reference's etag/last_modified workflow; see
     ``detect_corpus_delta``).  Resumes the existing checkpoint with the
-    deletable cuckoo seen backend so the changed urls pass the gate again —
+    changed urls deleted from the seen set, so they pass the gate again —
     unchanged pages are never re-fetched.  Removed documents are not
     fetchable, so they are recorded as rows instead (the error-sink
     convention): ``ckpt_dir/deletions.parquet`` holds the full current
@@ -673,7 +665,6 @@ def recrawl(corpus_dir: str, ckpt_dir: str, budget: dict | None = None,
         ckpt_dir,
         budget,
         resume=True,
-        seen_backend=kw.pop("seen_backend", "cuckoo"),
         invalidate_urls=changed,
         **kw,
     )
@@ -726,19 +717,7 @@ class CrawlResult:
         return t.sort_by("fetch_seq")
 
     def seen_hashes(self) -> np.ndarray:
-        from .checkpoint import selected_files
-
-        parts = []
-        for r in range(self.rounds):
-            p = os.path.join(self.ckpt_dir, f"round={r}", "seen_delta.parquet")
-            if os.path.exists(p):
-                parts.append(pq.read_table(p)["url_hash"].to_numpy())
-            else:  # distributed round: delta == schedule url_hash column
-                for f in selected_files(self.ckpt_dir, r):
-                    parts.append(
-                        pq.read_table(f, columns=["url_hash"])["url_hash"].to_numpy()
-                    )
-        return np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+        return np.unique(seen_hashes_through(self.ckpt_dir, self.rounds - 1))
 
     def docs_dataset(self):
         return rd.read_parquet(self.docs_dir)
@@ -762,11 +741,16 @@ def crawl(
     """Run (or resume) a crawl over a synthetic corpus. Ray must be initialised.
 
     ``stop_after_round=R`` returns right after round R's checkpoint barrier —
-    the kill-and-resume test hook.  ``invalidate_urls`` (requires the
-    deletable cuckoo seen backend) removes those urls from the restored seen
-    set and re-queues them — the recrawl-after-N-days workflow.  ``initial_frontier`` (FRONTIER_SCHEMA)
-    replaces the seeds table — used by the steady-state bench, which starts
-    from a fully-populated frontier rather than growing one by BFS.
+    the kill-and-resume test hook.  ``invalidate_urls`` removes those urls
+    from the restored seen set and re-queues them — the recrawl-after-N-days
+    workflow.  ``initial_frontier`` (FRONTIER_SCHEMA) replaces the seeds
+    table — used by the steady-state bench, which starts from a
+    fully-populated frontier rather than growing one by BFS.
+
+    ``seen_backend`` ("bloom", "cuckoo" or "spill") is accepted for callers
+    and job configs written against the earlier actor backends; it no
+    longer selects code.  Every crawl uses the one per-round seen value of
+    ``engine.seen``, which supports deletion.
     """
     import json
 
@@ -794,7 +778,7 @@ def crawl(
     gate = UrlGate.from_config(filters)
 
     run_id = uuid.uuid4().hex[:8]
-    seen = SeenSet(n_shards, name_prefix=f"seen_{run_id}", backend=seen_backend)
+    seen = SeenSet(n_shards)
 
     limiter_shards = None
     if enforce_delays:
@@ -837,9 +821,9 @@ def crawl(
 
     if invalidate_urls:
         # Recrawl invalidation (north-star "cuckoo fallback for deletions"):
-        # remove the urls from the restored seen set so they pass the gate
-        # again, and append them to the frontier as fresh candidates.  Only
-        # the deletable backend supports this; bloom raises.
+        # remove the urls from the restored seen set (a set difference) so
+        # they pass the gate again, and append them to the frontier as fresh
+        # candidates.
         inv_rows = []
         if not frontier.num_rows:
             base_seq = 0
@@ -898,16 +882,15 @@ def crawl(
             _phases = {}
             counters = {key: 0 for key in COUNTER_KEYS}
 
-            shards = seen.shards
             if frontier.num_rows <= SMALL_FRONTIER_ROWS:
                 # Small round: the whole selection phase runs on the driver —
-                # robots rules are local, the seen check is one batched RPC
-                # fan-out, and the SAME group functions run in pandas.  This
-                # is not a driver-side loop over the data: the frontier here
-                # is bounded, and a distributed selection would spend more on
-                # two all-to-alls than the round's total compute.  At real
-                # frontier sizes the distributed branch below engages; both
-                # branches are conformance-tested against the oracle.
+                # robots rules and the seen value are local, and the SAME
+                # group functions run in pandas.  This is not a driver-side
+                # loop over the data: the frontier here is bounded, and a
+                # distributed selection would spend more on two all-to-alls
+                # than the round's total compute.  At real frontier sizes the
+                # distributed branch below engages; both branches are
+                # conformance-tested against the oracle.
                 disp_t = _select_on_driver(frontier, robots, gate, seen, k)
                 cand_t = disp_t.filter(pc.equal(disp_t["status"], "cand"))
                 deferred_t = disp_t.filter(
@@ -957,9 +940,11 @@ def crawl(
                 # steady state most frontier rows die here (already-seen),
                 # and re-exchanging them through the politeness shuffles was
                 # the dominant select cost at 10^6+ rows — decided rows never
-                # enter an all-to-all again.
+                # enter an all-to-all again.  The round's seen value travels
+                # as one object, fetched once per worker.
+                seen_ref = ray.put(seen.shards)
                 stage0 = cand.map_batches(
-                    lambda t: robots_seen_batch(t, robots_ref, shards, gate),
+                    lambda t: robots_seen_batch(t, robots_ref, seen_ref, gate),
                     batch_format="pyarrow",
                     batch_size=65536,
                     zero_copy_batch=True,
@@ -1054,10 +1039,10 @@ def crawl(
                 # sees one row count per sorted block, computes rank offsets
                 # by prefix sum, and each block attaches its own contiguous
                 # fetch_seq range, spills its budget overflow to the deferred
-                # parts, writes its schedule part, feeds the seen shards, and
-                # yields bucket-pure fetch batches.  Bit-identical to the
-                # driver path: the sort is the same total order (ORDER_COLS
-                # is unique per row) and the budget cut is the same prefix.
+                # parts, writes its schedule part, and yields bucket-pure
+                # fetch batches.  Bit-identical to the driver path: the sort
+                # is the same total order (ORDER_COLS is unique per row) and
+                # the budget cut is the same prefix.
                 import shutil as _sh2
 
                 if os.path.isdir(selected_dir):
@@ -1084,7 +1069,6 @@ def crawl(
                         deferred_dir,
                         selected_dir,
                         i,
-                        shards,
                     )
                     for i, ref in enumerate(refs)
                 ]
@@ -1250,10 +1234,6 @@ def crawl(
             # distributed parquet parts inside the round dir already.
             frontier_next = pa.concat_tables([deferred_t, retry_rows])
 
-            if n_sel and selected_t is not None:
-                # (distributed rounds already fed the shards block-by-block
-                # inside _finalize_sorted_block, awaited per task)
-                seen.add_many(selected_t["url_hash"].to_numpy())
             for key in COUNTER_KEYS:
                 if key != "deferred":
                     cumulative[key] += counters[key]
@@ -1294,6 +1274,9 @@ def crawl(
                 errors=errors_t,
                 rss_mb=rss_mb,
             )
+            # The next round's seen value: merge this round's delta, read
+            # back from the checkpoint whichever selection path wrote it.
+            seen.add_many(read_seen_delta(ckpt_dir, r))
             # Next frontier = extras file + children parts, straight from the
             # checkpoint (the handoff IS the checkpoint).  Small rounds hand
             # back a driver table; past SMALL_FRONTIER_ROWS the handle is
@@ -1303,11 +1286,8 @@ def crawl(
             if stop_after_round is not None and r > stop_after_round:
                 break
     finally:
-        stats = seen.stats()
-        for s in seen.shards:
-            ray.kill(s)
         if limiter_shards is not None:
             for s in limiter_shards:
                 ray.kill(s)
 
-    return CrawlResult(ckpt_dir, docs_dir, r, cumulative, stats)
+    return CrawlResult(ckpt_dir, docs_dir, r, cumulative, seen.stats())

@@ -17,7 +17,7 @@ Config keys::
                   "allow_titles": [...],            # inline title allow-list
                   "allowlist_file": "docstoingest.txt"},  # or from a file
       "n_shards": 4,
-      "seen_backend": "bloom",            # bloom | cuckoo | spill
+      "seen_backend": "bloom",            # bloom | cuckoo | spill (accepted; no longer selects code)
       "num_cpus": 32                      # only used by the CLI's own ray.init
     }
 

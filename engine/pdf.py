@@ -214,8 +214,10 @@ def _unescape_pdf_bytes(raw: bytes) -> bytes:
                     j += 1
                 out.append(int(oct_digits, 8) & 0xFF)
                 i = j
-            elif d == 0x0A:  # line continuation
+            elif d in b"\r\n":  # line continuation: backslash + EOL is dropped
                 i += 2
+                if d == 0x0D and i < n and raw[i] == 0x0A:
+                    i += 1
             else:
                 out.append(d)
                 i += 2
@@ -314,6 +316,17 @@ def _read_literal_string_bytes(data: bytes, i: int) -> tuple[bytes, int]:
     raise ValueError("unterminated PDF string")
 
 
+def _read_string_bytes(data: bytes, i: int) -> bytes:
+    """The hex (``<..>``) or literal (``(..)``) string at data[i] as raw
+    BYTES — file IDs and /O, /U values are binary."""
+    if data[i : i + 1] == b"<":
+        digits = re.sub(rb"\s+", b"", data[i + 1 : data.index(b">", i)])
+        if len(digits) % 2:
+            digits += b"0"
+        return bytes.fromhex(digits.decode("ascii"))
+    return _read_literal_string_bytes(data, i)[0]
+
+
 def _encryption_handler(data: bytes):
     """Build a StandardSecurityHandler from the file's trailer, or None for
     unencrypted files.  The /Encrypt reference and /ID live in the classic
@@ -326,9 +339,8 @@ def _encryption_handler(data: bytes):
     from .pdfcrypt import StandardSecurityHandler
 
     enc_num = int(matches[-1].group(1))
-    ids = list(re.finditer(rb"/ID\s*\[\s*<([0-9A-Fa-f\s]*)>", data))
-    file_id = (bytes.fromhex(re.sub(rb"\s+", b"", ids[-1].group(1)).decode("ascii"))
-               if ids else b"")
+    ids = list(re.finditer(rb"/ID\s*\[\s*[<(]", data))
+    file_id = _read_string_bytes(data, ids[-1].end() - 1) if ids else b""
     body = None
     for m in re.finditer(rb"(?m)^%d\s+\d+\s+obj\b" % enc_num, data):
         # dict-only object: take the balanced << .. >> directly — _object_at

@@ -516,45 +516,9 @@ def _grab_string(body: bytes, key: bytes):
     """Read the literal or hex string value of ``key`` in a dict body as raw
     BYTES (the pdf module's string readers decode to str; /O and /U are
     binary)."""
+    from .pdf import _read_string_bytes
+
     m = re.search(re.escape(key) + rb"\s*([(<])", body)
     if not m:
         raise ValueError(f"missing {key!r} in encrypt dict")
-    i = m.end() - 1
-    if body[i : i + 1] == b"<":
-        j = body.index(b">", i)
-        digits = re.sub(rb"\s+", b"", body[i + 1 : j])
-        if len(digits) % 2:
-            digits += b"0"
-        return bytes.fromhex(digits.decode("ascii"))
-    # literal string: unescape to bytes
-    out = bytearray()
-    j = i + 1
-    depth = 1
-    while j < len(body):
-        c = body[j]
-        if c == 0x5C and j + 1 < len(body):
-            d = body[j + 1]
-            if d in b"nrtbf":
-                out.append({0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}[d])
-                j += 2
-            elif 0x30 <= d <= 0x37:
-                k = j + 1
-                digits = b""
-                while k < len(body) and len(digits) < 3 and 0x30 <= body[k] <= 0x37:
-                    digits += body[k : k + 1]
-                    k += 1
-                out.append(int(digits, 8) & 0xFF)
-                j = k
-            else:
-                out.append(d)
-                j += 2
-            continue
-        if c == 0x28:
-            depth += 1
-        elif c == 0x29:
-            depth -= 1
-            if depth == 0:
-                return bytes(out)
-        out.append(c)
-        j += 1
-    raise ValueError("unterminated string in encrypt dict")
+    return _read_string_bytes(body, m.end() - 1)

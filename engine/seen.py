@@ -1,528 +1,184 @@
-"""Sharded URL-seen set held in Ray actors (SURVEY.md §2.7 D1, §7.4).
+"""Sharded URL-seen set as a per-round value (SURVEY.md §2.7 D1, §7.4).
 
 The reference never revisits a URL because a folder *tree* has no cycles
 (structural guarantee, ``SharePointClient.cs:325-336``).  A web link graph has
-cycles, so the engine makes the seen set explicit: ``N`` shard actors, each
-owning the hash range ``{h : h % N == shard_id}``.
+cycles, so the engine makes the seen set explicit: ``N`` shards, shard ``s``
+owning the hash range ``{h : h % N == s}``.
 
-Each shard keeps
+Each shard is an immutable ``SeenShard`` value holding
 
-- a **Bloom bitmap** (numpy bit array, k hash probes derived from the 63-bit
-  URL hash) — the constant-memory scale path: at 10^10 URLs a shard holds
-  only its bits, and a negative Bloom answer needs no exact lookup;
-- an **exact hash set** — the confirmation layer that makes answers exact
+- a **Bloom bitmap** (4 probe positions derived from the 63-bit URL hash,
+  sized to at least 16 bits per key) — the prefilter: a negative Bloom
+  answer needs no exact lookup;
+- a **sorted int64 array** of the member hashes — the exact confirmation
   (Bloom false positives would wrongly drop URLs and break crawl-order /
-  seen-set conformance).  At sandbox scale the exact set is an in-memory
-  Python set; at 10^10 it becomes a disk-backed sorted-run structure per
-  shard, consulted only on Bloom-positive probes (the design is documented
-  here; the actor interface is identical).
+  seen-set conformance), probed with ``np.searchsorted``.
 
-Round protocol (SURVEY.md §7.6.2): during round R the map stages only call
-``check_many`` (reads against the state frozen at the end of round R-1); the
-driver calls ``add_many`` with the round's attempted hashes at the barrier.
-Adds are idempotent, so Ray task retries are safe.
+Round protocol (SURVEY.md §7.6.2): the set changes only at the round barrier,
+so it is a value per round, not a service.  During round R selection only
+reads the shards frozen at the end of round R-1: in process on the driver
+path, or as one ``ray.put`` object per round that distributed stage-0
+workers fetch once and cache.  At the barrier the driver builds the next
+value from the round's attempted hashes, read back from the checkpoint (the
+seen set's source of truth, also on resume): an add is a sorted merge, a
+recrawl invalidation a set difference with the Bloom bits rebuilt.  Adds are
+idempotent.  The whole set lives in the driver's memory; past that, stage 0
+becomes an anti-join against the checkpoint's per-round ``seen_delta`` parts
+(not implemented).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-import ray
+
+_N_PROBES = 4  # Bloom probes per key
 
 
-def _bloom_probe_positions(hashes: np.ndarray, n_probes: int, bloom_bits: int) -> np.ndarray:
-    """k probe positions per hash, derived from disjoint hash bits (double
-    hashing).  Shared by the in-memory and spill shard classes."""
-    h1 = hashes.astype(np.uint64) & np.uint64(0xFFFFFFFF)
-    h2 = (hashes.astype(np.uint64) >> np.uint64(32)) | np.uint64(1)
-    ks = np.arange(n_probes, dtype=np.uint64)
-    return (h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(bloom_bits)
+def _bloom_probes(hashes: np.ndarray, n_bytes: int) -> tuple:
+    """(byte index, bit mask) of each hash's ``_N_PROBES`` probes into an
+    ``n_bytes`` bitmap, derived from disjoint hash bits (double hashing)."""
+    h = hashes.astype(np.uint64)
+    h1 = h & np.uint64(0xFFFFFFFF)
+    h2 = (h >> np.uint64(32)) | np.uint64(1)
+    ks = np.arange(_N_PROBES, dtype=np.uint64)
+    pos = (h1[:, None] + ks[None, :] * h2[:, None]) % np.uint64(n_bytes * 8)
+    return (pos >> np.uint64(3)).astype(np.int64), (np.uint64(1) << (pos & np.uint64(7))).astype(np.uint8)
 
 
-@ray.remote(num_cpus=0)
+def _bloom_bytes(n_keys: int) -> int:
+    """Bitmap size for ``n_keys``: a power of two with at least 16 bits per
+    key (about 0.24% false positives at 4 probes), at least 64 bytes."""
+    return 1 << max(6, (2 * n_keys - 1).bit_length())
+
+
+def _set_bits(bloom: np.ndarray, hashes: np.ndarray) -> None:
+    byte, bit = _bloom_probes(hashes, len(bloom))
+    np.bitwise_or.at(bloom, byte.ravel(), bit.ravel())
+
+
+def _member(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """``cand`` in the sorted array ``keys``, vectorized."""
+    if not len(keys):
+        return np.zeros(len(cand), dtype=bool)
+    ins = np.searchsorted(keys, cand)
+    return (ins < len(keys)) & (keys[np.minimum(ins, len(keys) - 1)] == cand)
+
+
+@dataclass(frozen=True, eq=False)
 class SeenShard:
-    """One hash-range shard of the URL-seen set."""
+    """One hash-range shard: Bloom bits + sorted exact keys, never mutated."""
 
-    def __init__(self, shard_id: int, bloom_bits: int = 1 << 22, n_probes: int = 4):
-        self.shard_id = shard_id
-        self.bloom_bits = int(bloom_bits)
-        self.n_probes = int(n_probes)
-        self._bloom = np.zeros(self.bloom_bits // 8, dtype=np.uint8)
-        self._exact: set = set()
-        # lazily-rebuilt sorted array mirror of _exact: confirmation lookups
-        # are vectorized np.searchsorted (a Python set-probe loop over 10^6
-        # bloom-positives per batch was the steady-state selection hotspot)
-        self._sorted: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._sorted_dirty = False
-        self._bloom_positive = 0
-        self._exact_positive = 0
+    bloom: np.ndarray  # uint8 bitmap
+    keys: np.ndarray   # sorted, unique int64 hashes
 
-    def _probe_positions(self, hashes: np.ndarray) -> np.ndarray:
-        return _bloom_probe_positions(hashes, self.n_probes, self.bloom_bits)
+    @classmethod
+    def build(cls, keys: np.ndarray) -> "SeenShard":
+        """The shard holding exactly ``keys`` (sorted, unique)."""
+        bloom = np.zeros(_bloom_bytes(len(keys)), dtype=np.uint8)
+        _set_bits(bloom, keys)
+        return cls(bloom, keys)
 
-    def _sorted_view(self) -> np.ndarray:
-        if self._sorted_dirty:
-            self._sorted = np.fromiter(self._exact, dtype=np.int64, count=len(self._exact))
-            self._sorted.sort()
-            self._sorted_dirty = False
-        return self._sorted
+    def __post_init__(self):
+        self.bloom.flags.writeable = False
+        self.keys.flags.writeable = False
 
-    def check_many(self, hashes) -> np.ndarray:
-        """Exact membership for each hash (bool array). Read-only."""
-        hashes = np.asarray(hashes, dtype=np.int64)
-        if hashes.size == 0:
-            return np.zeros(0, dtype=bool)
-        pos = self._probe_positions(hashes)
-        byte_idx, bit = pos >> np.uint64(3), np.uint64(1) << (pos & np.uint64(7))
-        bloom_hit = ((self._bloom[byte_idx.astype(np.int64)] & bit.astype(np.uint8)) != 0).all(axis=1)
+    def contains(self, hashes: np.ndarray) -> tuple:
+        """(exact membership mask, number of Bloom-positive probes)."""
+        byte, bit = _bloom_probes(hashes, len(self.bloom))
         out = np.zeros(len(hashes), dtype=bool)
-        hit_idx = np.flatnonzero(bloom_hit)
+        hit_idx = np.flatnonzero(((self.bloom[byte] & bit) != 0).all(axis=1))
         if hit_idx.size:
-            arr = self._sorted_view()
-            # Empty-mirror guard BEFORE indexing: a bloom-positive against an
-            # empty exact set (e.g. a backend restoring bloom bits without the
-            # mirror) must answer False, not IndexError.
-            if len(arr):
-                cand = hashes[hit_idx]
-                ins = np.searchsorted(arr, cand)
-                out[hit_idx] = (ins < len(arr)) & (arr[np.minimum(ins, len(arr) - 1)] == cand)
-        self._bloom_positive += int(bloom_hit.sum())
-        self._exact_positive += int(out.sum())
-        return out
+            out[hit_idx] = _member(self.keys, hashes[hit_idx])
+        return out, int(hit_idx.size)
 
-    def add_many(self, hashes) -> int:
-        """Barrier-time merge of a round's attempted hashes. Idempotent."""
-        hashes = np.asarray(hashes, dtype=np.int64)
-        if hashes.size == 0:
-            return len(self._exact)
-        pos = self._probe_positions(hashes)
-        byte_idx, bit = (pos >> np.uint64(3)).astype(np.int64), (
-            np.uint64(1) << (pos & np.uint64(7))
-        ).astype(np.uint8)
-        np.bitwise_or.at(self._bloom, byte_idx.ravel(), bit.ravel())
-        self._exact.update(int(h) for h in hashes)
-        self._sorted_dirty = True
-        return len(self._exact)
+    def merged(self, hashes: np.ndarray) -> "SeenShard":
+        """This shard plus ``hashes``: a sorted merge of the new keys.  The
+        Bloom bits gain the new keys, or are rebuilt when the bitmap has to
+        grow (at most log2(n) times, so O(1) amortized per key)."""
+        new = np.unique(hashes)
+        new = new[~_member(self.keys, new)]
+        if not new.size:
+            return self
+        keys = np.insert(self.keys, np.searchsorted(self.keys, new), new)
+        if _bloom_bytes(len(keys)) != len(self.bloom):
+            return SeenShard.build(keys)
+        bloom = self.bloom.copy()
+        _set_bits(bloom, new)
+        return SeenShard(bloom, keys)
 
-    def stats(self) -> dict:
-        fill = float(np.unpackbits(self._bloom).mean()) if len(self._exact) else 0.0
-        fp = self._bloom_positive - self._exact_positive
-        return {
-            "shard_id": self.shard_id,
-            "n_exact": len(self._exact),
-            "bloom_fill": fill,
-            "bloom_false_positives": fp,
-        }
-
-    def dump(self) -> np.ndarray:
-        """All hashes in this shard (for checkpoint snapshots / tests)."""
-        return np.fromiter(self._exact, dtype=np.int64, count=len(self._exact))
-
-
-def _merge_sorted_runs(paths: list, out_path: str, chunk: int = 1 << 20):
-    """Chunked k-way merge of sorted int64 .npy runs into one sorted run.
-
-    Memory is bounded by k * chunk int64s (never the total): at each step the
-    merge takes every element <= the smallest "chunk horizon" across active
-    runs, sorts that bounded slice, and appends it to the output memmap.
-    Duplicate hashes across runs are preserved (adds are idempotent; lookups
-    via searchsorted are unaffected) so the output size is known up front.
-    """
-    mms = [np.load(p, mmap_mode="r") for p in paths]
-    total = sum(len(m) for m in mms)
-    out = np.lib.format.open_memmap(out_path, mode="w+", dtype=np.int64, shape=(total,))
-    cursors = [0] * len(mms)
-    pos = 0
-    while True:
-        active = [i for i, m in enumerate(mms) if cursors[i] < len(m)]
-        if not active:
-            break
-        # horizon: the smallest of each active run's value at cursor+chunk-1
-        # (or its last value) — everything <= it can be emitted this step
-        bound = min(
-            mms[i][min(cursors[i] + chunk - 1, len(mms[i]) - 1)] for i in active
-        )
-        parts = []
-        for i in active:
-            m, c = mms[i], cursors[i]
-            hi = int(np.searchsorted(m[c : c + chunk], bound, side="right")) + c
-            if hi > c:
-                parts.append(np.asarray(m[c:hi]))
-                cursors[i] = hi
-        merged = np.concatenate(parts)
-        merged.sort()
-        out[pos : pos + len(merged)] = merged
-        pos += len(merged)
-    out.flush()
-    del out
-    return total
-
-
-@ray.remote(num_cpus=0)
-class SpillSeenShard:
-    """Bloom bitmap + DISK-BACKED sorted-run exact confirmation — the
-    10^10-scale backend the Bloom shard's docstring describes (VERDICT r1
-    next-round #6: the capability, not the design note).
-
-    Adds land in the bloom and a bounded in-memory delta set; when the delta
-    exceeds ``spill_threshold`` it is sorted and spilled as an .npy run file;
-    when runs exceed ``max_runs`` they compact via a memory-bounded chunked
-    k-way merge.  Membership checks take the bloom-negative fast path, then
-    confirm positives against the delta and a binary search per run memmap
-    (O(log n) pages touched per probe).  Worst-case resident memory per
-    shard: bloom bits + spill_threshold int64s + the merge window.
-    """
-
-    def __init__(self, shard_id: int, spill_dir: str, bloom_bits: int = 1 << 22,
-                 n_probes: int = 4, spill_threshold: int = 1 << 20, max_runs: int = 8):
-        import os
-
-        self.shard_id = shard_id
-        self.bloom_bits = int(bloom_bits)
-        self.n_probes = int(n_probes)
-        self.spill_threshold = int(spill_threshold)
-        self.max_runs = int(max_runs)
-        self.dir = os.path.join(spill_dir, f"shard_{shard_id}")
-        os.makedirs(self.dir, exist_ok=True)
-        self._bloom = np.zeros(self.bloom_bits // 8, dtype=np.uint8)
-        self._delta: set = set()
-        self._delta_sorted: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._delta_dirty = False
-        self._runs: list = []   # run file paths, oldest first
-        self._run_seq = 0
-        self._n_added = 0       # includes duplicates
-        # recover runs from a previous incarnation of this named actor's dir
-        import glob as _glob
-
-        for p in sorted(_glob.glob(os.path.join(self.dir, "run-*.npy"))):
-            self._runs.append(p)
-            arr = np.load(p, mmap_mode="r")
-            self._n_added += len(arr)
-            self._set_bloom(np.asarray(arr))
-
-    def _probe_positions(self, hashes: np.ndarray) -> np.ndarray:
-        return _bloom_probe_positions(hashes, self.n_probes, self.bloom_bits)
-
-    def _set_bloom(self, hashes: np.ndarray):
-        pos = self._probe_positions(hashes)
-        byte_idx = (pos >> np.uint64(3)).astype(np.int64)
-        bit = (np.uint64(1) << (pos & np.uint64(7))).astype(np.uint8)
-        np.bitwise_or.at(self._bloom, byte_idx.ravel(), bit.ravel())
-
-    def _delta_view(self) -> np.ndarray:
-        if self._delta_dirty:
-            self._delta_sorted = np.fromiter(
-                self._delta, dtype=np.int64, count=len(self._delta)
-            )
-            self._delta_sorted.sort()
-            self._delta_dirty = False
-        return self._delta_sorted
-
-    def _spill(self):
-        import os
-
-        run = self._delta_view().copy()
-        path = os.path.join(self.dir, f"run-{self._run_seq:05d}.npy")
-        self._run_seq += 1
-        np.save(path, run)
-        self._runs.append(path)
-        self._delta = set()
-        self._delta_sorted = np.zeros(0, dtype=np.int64)
-        self._delta_dirty = False
-        if len(self._runs) > self.max_runs:
-            import os as _os
-
-            merged = _os.path.join(self.dir, f"run-{self._run_seq:05d}.npy")
-            self._run_seq += 1
-            _merge_sorted_runs(self._runs, merged)
-            for p in self._runs:
-                _os.remove(p)
-            self._runs = [merged]
-
-    def add_many(self, hashes) -> int:
-        hashes = np.asarray(hashes, dtype=np.int64)
-        if hashes.size == 0:
-            return self._n_added
-        self._set_bloom(hashes)
-        self._delta.update(int(h) for h in hashes)
-        self._delta_dirty = True
-        self._n_added += len(hashes)
-        if len(self._delta) >= self.spill_threshold:
-            self._spill()
-        return self._n_added
-
-    def check_many(self, hashes) -> np.ndarray:
-        hashes = np.asarray(hashes, dtype=np.int64)
-        out = np.zeros(len(hashes), dtype=bool)
-        if hashes.size == 0:
-            return out
-        pos = self._probe_positions(hashes)
-        byte_idx, bit = pos >> np.uint64(3), np.uint64(1) << (pos & np.uint64(7))
-        bloom_hit = (
-            (self._bloom[byte_idx.astype(np.int64)] & bit.astype(np.uint8)) != 0
-        ).all(axis=1)
-        hit_idx = np.flatnonzero(bloom_hit)
-        if not hit_idx.size:
-            return out
-        cand = hashes[hit_idx]
-        ok = np.zeros(len(cand), dtype=bool)
-        delta = self._delta_view()
-        if len(delta):
-            ins = np.searchsorted(delta, cand)
-            ok |= (ins < len(delta)) & (delta[np.minimum(ins, len(delta) - 1)] == cand)
-        for p in self._runs:
-            arr = np.load(p, mmap_mode="r")
-            if not len(arr):
-                continue
-            ins = np.searchsorted(arr, cand)
-            ok |= (ins < len(arr)) & (
-                np.asarray(arr[np.minimum(ins, len(arr) - 1)]) == cand
-            )
-        out[hit_idx] = ok
-        return out
-
-    def stats(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "n_delta": len(self._delta),
-            "n_runs": len(self._runs),
-            "n_added": self._n_added,
-            "run_bytes": sum(
-                len(np.load(p, mmap_mode="r")) * 8 for p in self._runs
-            ),
-        }
-
-    def dump(self) -> np.ndarray:
-        parts = [self._delta_view().copy()]
-        for p in self._runs:
-            parts.append(np.asarray(np.load(p, mmap_mode="r")))
-        return np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
-
-
-@ray.remote(num_cpus=0)
-class CuckooShard:
-    """Cuckoo-filter shard — the deletion-capable fallback (SURVEY.md §2.7 D1).
-
-    A Bloom filter cannot delete (clearing shared bits corrupts other keys);
-    recrawl invalidation ("fetch this url again after N days") needs removal
-    from the seen set.  Classic 2-choice cuckoo filter: each key stores an
-    f-bit fingerprint in one of two buckets; the alternate bucket index is
-    ``i XOR hash(fingerprint)``, so relocation never needs the original key.
-
-    Same exact-confirmation layer as SeenShard: the filter gives the
-    constant-memory fast path; the exact set makes answers exact and resolves
-    fingerprint collisions on delete.
-    """
-
-    def __init__(self, shard_id: int, n_buckets: int = 1 << 16, slots: int = 4,
-                 fp_bits: int = 16, max_kicks: int = 500):
-        self.shard_id = shard_id
-        self.n_buckets = int(n_buckets)  # power of two
-        self.slots = slots
-        self.fp_mask = (1 << fp_bits) - 1
-        self.max_kicks = max_kicks
-        self.table = np.zeros((self.n_buckets, slots), dtype=np.uint32)  # 0 = empty
-        self._exact: set = set()
-        self._overflow: set = set()  # keys that failed insertion after kicks
-
-    def _fp(self, h: int) -> int:
-        f = (h >> 40) & self.fp_mask
-        return f if f != 0 else 1
-
-    def _i1(self, h: int) -> int:
-        return h & (self.n_buckets - 1)
-
-    def _alt(self, i: int, fp: int) -> int:
-        return (i ^ (fp * 0x5BD1E995)) & (self.n_buckets - 1)
-
-    def _insert_filter(self, h: int) -> bool:
-        import random as _random
-
-        fp = self._fp(h)
-        i1 = self._i1(h)
-        for i in (i1, self._alt(i1, fp)):
-            row = self.table[i]
-            empty = np.flatnonzero(row == 0)
-            if empty.size:
-                row[empty[0]] = fp
-                return True
-        i = i1
-        rng = _random.Random(h)  # deterministic kick path per key
-        for _ in range(self.max_kicks):
-            s = rng.randrange(self.slots)
-            fp, self.table[i][s] = int(self.table[i][s]), fp
-            i = self._alt(i, fp)
-            row = self.table[i]
-            empty = np.flatnonzero(row == 0)
-            if empty.size:
-                row[empty[0]] = fp
-                return True
-        return False
-
-    def _remove_filter(self, h: int) -> bool:
-        fp = self._fp(h)
-        i1 = self._i1(h)
-        for i in (i1, self._alt(i1, fp)):
-            row = self.table[i]
-            hit = np.flatnonzero(row == fp)
-            if hit.size:
-                row[hit[0]] = 0
-                return True
-        return False
-
-    def add_many(self, hashes) -> int:
-        for h in np.asarray(hashes, dtype=np.int64):
-            h = int(h)
-            if h in self._exact or h in self._overflow:
-                continue  # idempotent under task retries
-            if self._insert_filter(h):
-                self._exact.add(h)
-            else:
-                self._overflow.add(h)
-        return len(self._exact) + len(self._overflow)
-
-    def check_many(self, hashes) -> np.ndarray:
-        hashes = np.asarray(hashes, dtype=np.int64)
-        out = np.zeros(len(hashes), dtype=bool)
-        for idx, h in enumerate(hashes):
-            h = int(h)
-            fp = self._fp(h)
-            i1 = self._i1(h)
-            if (self.table[i1] == fp).any() or (self.table[self._alt(i1, fp)] == fp).any():
-                out[idx] = h in self._exact  # confirm (fp collisions)
-            if not out[idx]:
-                out[idx] = h in self._overflow
-        return out
-
-    def delete_many(self, hashes) -> int:
-        """Remove keys (recrawl invalidation). Unknown keys are ignored."""
-        removed = 0
-        for h in np.asarray(hashes, dtype=np.int64):
-            h = int(h)
-            if h in self._overflow:
-                self._overflow.discard(h)
-                removed += 1
-            elif h in self._exact:
-                self._exact.discard(h)
-                self._remove_filter(h)
-                removed += 1
-        return removed
-
-    def stats(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "n_exact": len(self._exact),
-            "n_overflow": len(self._overflow),
-            "fill": float((self.table != 0).mean()),
-        }
-
-    def dump(self) -> np.ndarray:
-        keys = list(self._exact) + list(self._overflow)
-        return np.fromiter(keys, dtype=np.int64, count=len(keys))
+    def without(self, hashes: np.ndarray) -> "SeenShard":
+        """This shard minus ``hashes``: a set difference.  Bloom bits cannot
+        be cleared (they are shared between keys), so they are rebuilt."""
+        keep = ~np.isin(self.keys, hashes)
+        if keep.all():
+            return self
+        return SeenShard.build(self.keys[keep])
 
 
 class SeenSet:
-    """Driver-side facade over the shard actors.
+    """The driver's current seen value (``shards``) and its probe counts.
 
-    backend="bloom" (default): SeenShard — bloom bitmap + exact confirm,
-    append-only (a crawl never un-sees).  backend="cuckoo": CuckooShard —
-    supports delete_many for recrawl invalidation at slightly higher
-    per-probe cost.  backend="spill": SpillSeenShard — bloom + disk-backed
-    sorted runs, bounded resident memory per shard (the 10^10 path).  All
-    expose the same check/add/dump/stats surface.
+    ``add_many``/``delete_many`` replace ``shards`` with new values; a value
+    handed out before (``ray.put`` for a distributed round) is unaffected.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        name_prefix: str = "seen",
-        bloom_bits: int = 1 << 22,
-        backend: str = "bloom",
-        spill_dir: str | None = None,
-        spill_threshold: int = 1 << 20,
-    ):
-        self.n_shards = n_shards
-        self.backend = backend
-        if backend == "bloom":
-            self.shards = [
-                SeenShard.options(name=f"{name_prefix}_shard_{i}", get_if_exists=True).remote(
-                    i, bloom_bits=bloom_bits
-                )
-                for i in range(n_shards)
-            ]
-        elif backend == "cuckoo":
-            self.shards = [
-                CuckooShard.options(name=f"{name_prefix}_shard_{i}", get_if_exists=True).remote(i)
-                for i in range(n_shards)
-            ]
-        elif backend == "spill":
-            import os
+    def __init__(self, n_shards: int):
+        empty = np.zeros(0, dtype=np.int64)
+        self.shards = tuple(SeenShard.build(empty) for _ in range(n_shards))
+        # driver-path probes only: distributed stage-0 workers probe copies
+        self._false_positives = np.zeros(n_shards, dtype=np.int64)
 
-            spill_dir = spill_dir or os.path.join("/tmp", f"seen_spill_{name_prefix}")
-            self.shards = [
-                SpillSeenShard.options(
-                    name=f"{name_prefix}_shard_{i}", get_if_exists=True
-                ).remote(
-                    i, spill_dir, bloom_bits=bloom_bits, spill_threshold=spill_threshold
-                )
-                for i in range(n_shards)
-            ]
-        else:
-            raise ValueError(f"unknown seen backend: {backend}")
-
-    def delete_many(self, hashes: np.ndarray):
-        """Recrawl invalidation (cuckoo backend only)."""
-        if self.backend != "cuckoo":
-            raise NotImplementedError("delete requires the cuckoo backend")
+    def _replace(self, hashes: np.ndarray, op) -> None:
         hashes = np.asarray(hashes, dtype=np.int64)
-        sid = hashes % self.n_shards
-        ray.get(
-            [
-                self.shards[s].delete_many.remote(hashes[sid == s])
-                for s in range(self.n_shards)
-                if (sid == s).any()
-            ]
+        sid = hashes % len(self.shards)
+        self.shards = tuple(
+            op(sh, hashes[sid == s]) if (sid == s).any() else sh
+            for s, sh in enumerate(self.shards)
         )
 
-    def add_many(self, hashes: np.ndarray):
-        hashes = np.asarray(hashes, dtype=np.int64)
-        sid = hashes % self.n_shards
-        ray.get(
-            [
-                self.shards[s].add_many.remote(hashes[sid == s])
-                for s in range(self.n_shards)
-                if (sid == s).any()
-            ]
-        )
+    def add_many(self, hashes: np.ndarray) -> None:
+        """Barrier-time merge of a round's attempted hashes. Idempotent."""
+        self._replace(hashes, SeenShard.merged)
+
+    def delete_many(self, hashes: np.ndarray) -> None:
+        """Recrawl invalidation. Unknown hashes are ignored."""
+        self._replace(hashes, SeenShard.without)
 
     def check_many(self, hashes: np.ndarray) -> np.ndarray:
-        return check_many_via_handles(self.shards, hashes)
+        return check_many_via_handles(self.shards, hashes, self._false_positives)
 
     def stats(self) -> list:
-        return ray.get([s.stats.remote() for s in self.shards])
+        return [
+            {
+                "shard_id": s,
+                "n_exact": len(sh.keys),
+                "bloom_fill": float(np.unpackbits(sh.bloom).mean()),
+                "bloom_false_positives": int(self._false_positives[s]),
+            }
+            for s, sh in enumerate(self.shards)
+        ]
 
     def dump_all(self) -> np.ndarray:
-        parts = ray.get([s.dump.remote() for s in self.shards])
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return np.concatenate([sh.keys for sh in self.shards])
 
 
-def check_many_via_handles(shards: list, hashes: np.ndarray) -> np.ndarray:
-    """Batched membership check usable from inside map_batches workers.
+def check_many_via_handles(shards, hashes: np.ndarray, false_positives=None) -> np.ndarray:
+    """Exact membership of each hash in the seen value ``shards``.
 
-    One RPC per shard per batch (not per row): partition the batch's hashes by
-    ``hash % n_shards``, fan out, reassemble the boolean mask in input order.
+    Runs wherever the value is: the driver, or a stage-0 worker that fetched
+    it.  Partitions the batch by ``hash % len(shards)`` and reassembles the
+    mask in input order.  ``false_positives`` (one counter per shard) gathers
+    Bloom-positive probes the exact keys rejected.
     """
     hashes = np.asarray(hashes, dtype=np.int64)
     out = np.zeros(len(hashes), dtype=bool)
-    if len(hashes) == 0:
-        return out
-    n = len(shards)
-    sid = hashes % n
-    futures, index_lists = [], []
-    for s in range(n):
+    sid = hashes % len(shards)
+    for s, shard in enumerate(shards):
         idx = np.flatnonzero(sid == s)
         if idx.size:
-            futures.append(shards[s].check_many.remote(hashes[idx]))
-            index_lists.append(idx)
-    for idx, res in zip(index_lists, ray.get(futures)):
-        out[idx] = res
+            out[idx], n_bloom = shard.contains(hashes[idx])
+            if false_positives is not None:
+                false_positives[s] += n_bloom - int(out[idx].sum())
     return out

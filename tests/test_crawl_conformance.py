@@ -362,3 +362,30 @@ def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, mo
     assert resumed.cumulative == engine.cumulative
     assert resumed.order_table().to_pylist() == engine.order_table().to_pylist()
     assert set(resumed.seen_hashes().tolist()) == set(engine.seen_hashes().tolist())
+
+
+def test_worker_cache_stays_bounded(small_corpus, tmp_path, monkeypatch):
+    """Long-lived workers keep only the current robots rules and seen value,
+    however many crawls and distributed rounds they serve."""
+    import ray
+
+    import engine.crawl as crawl_mod
+
+    monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)  # stage 0 on workers
+    corpus_dir, _cfg = small_corpus
+    budget = {"max_urls_total": 40, "max_per_host_per_round": 3, "max_depth": 3, "max_rounds": 3}
+    for i in range(3):
+        assert crawl_mod.crawl(corpus_dir, str(tmp_path / f"ckpt_{i}"), budget).rounds >= 2
+
+    @ray.remote
+    def cache_keys():
+        import time
+
+        from engine.crawl import _WORKER_CACHE
+
+        time.sleep(0.2)  # spread the probes over the idle workers
+        return sorted(_WORKER_CACHE)
+
+    probes = ray.get([cache_keys.remote() for _ in range(8)])
+    assert any(probes), "no probe reached a worker that ran stage 0"
+    assert all(keys in ([], ["rules", "seen"]) for keys in probes), probes

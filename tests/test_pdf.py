@@ -601,6 +601,55 @@ def test_nonempty_user_password_raises():
         StandardSecurityHandler.from_encrypt_dict(body, fid)
 
 
+def _octal_literal(raw: bytes, breaks: dict) -> bytes:
+    """``raw`` as a PDF literal string of octal escapes, with the line
+    continuation ``breaks[i]`` (backslash + EOL) inserted before byte i."""
+    out = b"("
+    for i, c in enumerate(raw):
+        out += breaks.get(i, b"") + b"\\%03o" % c
+    return out + b")"
+
+
+def test_literal_o_u_line_continuations():
+    """Backslash-EOL inside a literal /O or /U string is a line continuation
+    (ISO 32000 §7.3.4.2): it adds no byte, for \\r, \\n and \\r\\n alike."""
+    import re
+
+    from engine.pdfcrypt import StandardSecurityHandler, _grab_string
+
+    fid = bytes(range(16))
+    breaks = {3: b"\\\n", 11: b"\\\r", 20: b"\\\r\n"}
+    for mode in ("rc4-128", "aes-128"):
+        h = StandardSecurityHandler.for_writing(mode, fid)
+        body = h.encrypt_dict_body()
+        for key, val in ((b"/O", h.o), (b"/U", h.u)):
+            body = re.sub(re.escape(key) + rb"\s*<[0-9a-f]*>",
+                          lambda _m: key + b" " + _octal_literal(val, breaks), body)
+        assert b"/O (" in body and b"/U (" in body
+        assert _grab_string(body, b"/O") == h.o
+        assert _grab_string(body, b"/U") == h.u
+        assert StandardSecurityHandler.from_encrypt_dict(body, fid).key == h.key
+
+
+def test_encrypted_pdf_literal_string_file_id():
+    """A trailer /ID written as literal strings (common in real files) keys
+    the file exactly as the hex form does."""
+    import re
+
+    from engine.pdf import parse_pdf_layout, render_pdf_page_bytes
+
+    pages = [(1, 792.0, [(72.0, 700.0, "Hello"), (120.0, 700.0, "World")])]
+    hrefs = ["https://example.com/a"]
+    plain = parse_pdf_layout(render_pdf_page_bytes(pages, hrefs))
+    for mode in ("rc4-40", "rc4-128", "aes-128"):
+        data = render_pdf_page_bytes(pages, hrefs, encrypt=mode)
+        m = re.search(rb"/ID \[<([0-9a-f]+)> <([0-9a-f]+)>\]", data)
+        fid = bytes.fromhex(m.group(1).decode("ascii"))
+        lit = _octal_literal(fid, {8: b"\\\r\n"})
+        data_lit = data[: m.start()] + b"/ID [" + lit + b" " + lit + b"]" + data[m.end():]
+        assert parse_pdf_layout(data_lit) == plain, mode
+
+
 def test_encrypted_pdf_layout_identical_all_modes():
     """Every (cipher x layout x filter) encrypted variant parses to exactly
     the plaintext layout, and the writer is byte-deterministic."""

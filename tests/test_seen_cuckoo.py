@@ -1,57 +1,20 @@
-"""CuckooShard tests: exactness, deletion, idempotence (SURVEY.md §2.7 D1)."""
+"""Crawl cases for the deletable seen set (SURVEY.md §2.7 D1): the cuckoo
+backend name is still accepted, and recrawl invalidation deletes from the
+seen value.  The other unit tests of the set live in test_seen.py."""
 
 import numpy as np
-import pytest
 
 
-@pytest.fixture()
-def shard(ray_session):
-    import uuid
+def test_no_false_negatives_and_exact():
+    from engine.seen import SeenSet
 
-    import ray
-
-    from engine.seen import CuckooShard
-
-    s = CuckooShard.options(name=f"cuckoo_{uuid.uuid4().hex[:6]}").remote(0, n_buckets=1 << 12)
-    yield s
-    ray.kill(s)
-
-
-def test_no_false_negatives_and_exact(shard, ray_session):
-    import ray
-
+    seen = SeenSet(2)
     rng = np.random.default_rng(11)
     added = rng.integers(1, 2**62, size=4000, dtype=np.int64)
     other = np.setdiff1d(rng.integers(1, 2**62, size=4000, dtype=np.int64), added)
-    ray.get(shard.add_many.remote(added))
-    assert ray.get(shard.check_many.remote(added)).all()
-    assert not ray.get(shard.check_many.remote(other)).any()
-
-
-def test_delete_then_readd(shard, ray_session):
-    import ray
-
-    keys = np.arange(1, 501, dtype=np.int64)
-    ray.get(shard.add_many.remote(keys))
-    removed = ray.get(shard.delete_many.remote(keys[:100]))
-    assert removed == 100
-    chk = ray.get(shard.check_many.remote(keys))
-    assert not chk[:100].any()      # deleted keys gone (recrawl invalidation)
-    assert chk[100:].all()          # survivors intact
-    ray.get(shard.add_many.remote(keys[:100]))  # re-add after invalidation
-    assert ray.get(shard.check_many.remote(keys)).all()
-
-
-def test_add_idempotent_under_retry(shard, ray_session):
-    import ray
-
-    keys = np.arange(1, 101, dtype=np.int64)
-    ray.get(shard.add_many.remote(keys))
-    ray.get(shard.add_many.remote(keys))  # simulated task retry
-    stats = ray.get(shard.stats.remote())
-    assert stats["n_exact"] + stats["n_overflow"] == 100
-    assert ray.get(shard.delete_many.remote(keys)) == 100
-    assert not ray.get(shard.check_many.remote(keys)).any()
+    seen.add_many(added)
+    assert seen.check_many(added).all()
+    assert not seen.check_many(other).any()
 
 
 def test_crawl_with_cuckoo_backend_matches_oracle(small_corpus, tmp_path, ray_session):
@@ -70,24 +33,6 @@ def test_crawl_with_cuckoo_backend_matches_oracle(small_corpus, tmp_path, ray_se
     assert [(x["fetch_seq"], x["url"]) for x in got] == [
         (x["fetch_seq"], x["url"]) for x in oracle["order"]
     ]
-
-
-def test_overflow_under_pressure(ray_session):
-    """Overfill a tiny filter: answers stay exact via the overflow set."""
-    import ray
-    import uuid
-
-    from engine.seen import CuckooShard
-
-    s = CuckooShard.options(name=f"cuckoo_{uuid.uuid4().hex[:6]}").remote(
-        0, n_buckets=1 << 4, slots=2
-    )
-    keys = np.arange(1, 2001, dtype=np.int64)
-    ray.get(s.add_many.remote(keys))
-    assert ray.get(s.check_many.remote(keys)).all()
-    st = ray.get(s.stats.remote())
-    assert st["n_overflow"] > 0  # pressure forced overflow, not wrong answers
-    ray.kill(s)
 
 
 def test_recrawl_invalidation_workflow(small_corpus, tmp_path, ray_session):
