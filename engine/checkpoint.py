@@ -6,35 +6,37 @@ resumes from the last complete round with identical results (north-rule
 requirement: "resumable from checkpoint with per-partition lineage +
 metrics").
 
-Layout (data files first, ``counters.json`` then ``_SUCCESS`` last; both
-are written to a temp file, fsynced and renamed into place, so a crash never
-leaves a torn one and a round without ``_SUCCESS`` is simply re-run)::
+Layout — one for every round, whichever selection path ran (data files
+first, ``counters.json`` then ``_SUCCESS`` last; both are written to a temp
+file, fsynced and renamed into place, so a crash never leaves a torn one and
+a round without ``_SUCCESS`` is simply re-run)::
 
     ckpt_dir/
       round=R/
-        selected.parquet       # the round's fetch schedule (driver-selected
-        seen_delta.parquet     #   rounds) and the url hashes it attempted
-        selected/part_*.parquet  # OR: the schedule parts written by the
-                               #   distributed finalize; their url_hash
+        selected/part_*.parquet  # the round's fetch schedule, one part per
+                               #   sorted candidate block; its url_hash
                                #   column is the round's seen delta
-        frontier_next.parquet  # extras entering round R+1: budget overflow
-                               #   and fetch-miss retries
+        frontier_next.parquet  # fetch-miss retries entering round R+1
         frontier_children/     # parquet parts: links exploded from the docs
-        frontier_deferred/     # parquet parts: deferred rows of distributed
-                               #   selection
+        frontier_deferred/     # parquet parts: politeness-deferred rows and
+                               #   budget overflow (overflow_*.parquet)
         errors.parquet         # fetch misses as rows (when any)
         counters.json          # round + cumulative counters, lineage, phases
         _SUCCESS
       docs/round=R/            # the docs sink: parquet parts + _manifest.json
                                #   (per-file row counts, schema fingerprint)
 
+Round R+1's frontier is exactly ``frontier_next.parquet`` plus the parts of
+``frontier_children/`` and ``frontier_deferred/``.
+
 The checkpoint is the seen set's source of truth.  It is persisted as
-per-round *deltas* (``seen_delta``): the crawl merges each round's delta into
-its in-memory seen value at the barrier, and a resume rebuilds the value as
-the union of the deltas of rounds <= R (O(total urls) read once, instead of
-O(total) rewritten every round).  ``counters.json`` carries lineage
-(``parent_round``, ``config_hash``) so a resume against a different corpus or
-budget is refused instead of silently diverging.
+per-round *deltas* — the url hashes each round attempted, read from its
+schedule parts: the crawl merges each round's delta into its in-memory seen
+value at the barrier, and a resume rebuilds the value as the union of the
+deltas of rounds <= R (O(total urls) read once, instead of O(total)
+rewritten every round).  ``counters.json`` carries lineage
+(``parent_round``, ``config_hash``) so a resume against a different corpus,
+budget or layout is refused instead of silently diverging.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -90,29 +93,20 @@ def _fsync_dir(path: str) -> None:
 
 
 def selected_files(ckpt_dir: str, r: int) -> list:
-    """Parquet files holding round r's fetch schedule, whichever layout the
-    round used: a single driver-written ``selected.parquet`` (budget-small
-    rounds) or the ``selected/`` part directory written by the distributed
-    schedule finalize (the driver never held those rows)."""
-    rd_ = os.path.join(ckpt_dir, f"round={r}")
-    p = os.path.join(rd_, "selected.parquet")
-    if os.path.exists(p):
-        return [p]
-    d = os.path.join(rd_, "selected")
-    if os.path.isdir(d):
-        return sorted(
-            os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
-        )
-    return []
+    """Parquet parts holding round r's fetch schedule (``round=R/selected/``)."""
+    d = os.path.join(ckpt_dir, f"round={r}", "selected")
+    if not os.path.isdir(d):
+        return []
+    return sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
 
 
 def read_seen_delta(ckpt_dir: str, r: int) -> np.ndarray:
-    """Round r's seen-set delta: the url hashes it attempted, from
-    ``seen_delta.parquet`` or, for a distributed round, the url_hash column
-    of its ``selected/`` schedule parts."""
-    p = os.path.join(ckpt_dir, f"round={r}", "seen_delta.parquet")
-    files = [p] if os.path.exists(p) else selected_files(ckpt_dir, r)
-    parts = [pq.read_table(f, columns=["url_hash"])["url_hash"].to_numpy() for f in files]
+    """Round r's seen-set delta: the url hashes it attempted, the url_hash
+    column of its schedule parts."""
+    parts = [
+        pq.read_table(f, columns=["url_hash"])["url_hash"].to_numpy()
+        for f in selected_files(ckpt_dir, r)
+    ]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -154,53 +148,31 @@ class CheckpointManager:
             best = max(best, r)
         return best
 
+    def clear(self) -> None:
+        """Remove every round and the docs sink: a fresh crawl must not leave
+        an earlier crawl's rounds for ``docs_dataset`` or a resume to find."""
+        for name in os.listdir(self.dir):
+            if name == "docs" or re.fullmatch(r"round=\d+", name):
+                shutil.rmtree(os.path.join(self.dir, name))
+
     def write_round(
         self,
         r: int,
-        selected: pa.Table | None,
         frontier_next: pa.Table,
-        seen_delta: np.ndarray | None,
         counters: dict,
         cumulative: dict,
         phases: dict | None = None,
         errors: pa.Table | None = None,
         rss_mb: float | None = None,
     ):
-        """``selected=None`` means the round used the DISTRIBUTED schedule
-        finalize: the schedule parts are already on disk in
-        ``round=R/selected/`` and the seen delta IS their url_hash column —
-        the driver never held either, so nothing is (re)written here."""
+        """Commit round r.  The schedule parts (and so the seen delta), the
+        deferred, children and docs parts are already on disk; this writes
+        the retries, the errors and the counters, then ``_SUCCESS``."""
         rd = self._round_dir(r)
         os.makedirs(rd, exist_ok=True)
         success = os.path.join(rd, "_SUCCESS")
         if os.path.exists(success):  # idempotent rewrite of a complete round
             os.remove(success)
-        sel_dir = os.path.join(rd, "selected")
-        if selected is not None:
-            if os.path.isdir(sel_dir):  # stale distributed layout from a rerun
-                import shutil
-
-                shutil.rmtree(sel_dir)
-            pq.write_table(selected, os.path.join(rd, "selected.parquet"))
-            pq.write_table(
-                pa.table(
-                    {
-                        "url_hash": pa.array(
-                            np.asarray(seen_delta, dtype=np.int64), pa.int64()
-                        )
-                    }
-                ),
-                os.path.join(rd, "seen_delta.parquet"),
-            )
-        else:
-            if not os.path.isdir(sel_dir):
-                raise ValueError(
-                    f"write_round(selected=None) but no schedule parts at {sel_dir}"
-                )
-            for stale in ("selected.parquet", "seen_delta.parquet"):
-                p = os.path.join(rd, stale)
-                if os.path.exists(p):
-                    os.remove(p)
         pq.write_table(frontier_next, os.path.join(rd, "frontier_next.parquet"))
         if errors is not None and errors.num_rows:
             # Errors are rows, never side effects (SURVEY.md §2.1 S5 — the
@@ -228,10 +200,9 @@ class CheckpointManager:
             return json.load(f)
 
     def frontier_files(self, r: int) -> list:
-        """Parquet files holding round r's next frontier: the extras file
-        (budget-overflow + retries) plus the distributed children and
-        deferred parts (written by the explode / selection stages directly
-        into the round dir — those rows never pass through the driver)."""
+        """Parquet files holding round r's next frontier: the retries file
+        plus the children and deferred parts (written by the explode,
+        selection and schedule steps directly into the round dir)."""
         rd = self._round_dir(r)
         files = []
         p = os.path.join(rd, "frontier_next.parquet")
@@ -269,18 +240,8 @@ class CheckpointManager:
             promote_options="default",
         )
 
-    def read_selected(self, r: int) -> pa.Table:
-        files = selected_files(self.dir, r)
-        if not files:
-            raise FileNotFoundError(f"no schedule for round {r} in {self.dir}")
-        return pa.concat_tables([pq.read_table(f) for f in files])
-
     def seen_hashes_through(self, r: int) -> np.ndarray:
         return seen_hashes_through(self.dir, r)
-
-    def order_table_through(self, r: int) -> pa.Table:
-        tables = [self.read_selected(i) for i in range(r + 1)]
-        return pa.concat_tables(tables) if tables else None
 
 
 def _schema_fingerprint(schema: pa.Schema) -> str:

@@ -2,49 +2,47 @@
 
 The Ray-Data-native re-expression of the reference's sequential recursive
 traversal (``SharePointClient.cs:201-342``, SURVEY.md §3.1): instead of one
-async chain with one request in flight, each *round* streams the frontier
-through vectorized gates, a salted two-stage politeness shuffle, a
-hash-bucketed fetch join against the pages table, and per-row extraction —
-then checkpoints and expands the next frontier.
+async chain with one request in flight, each *round* runs four steps, and
+each step hands the driver loop one small record:
 
-Round pipeline (narrow columns only until fetch):
-
-    frontier (url, host, path, depth, priority, discovery_seq, retry, url_hash)
-      -> SELECTION (adaptive):
-         small rounds (frontier <= SMALL_FRONTIER_ROWS): one vectorized
-           driver pass — robots + allow/deny gate, in-process seen probe,
-           dedup + per-host top-k (zero dataset executions; the round is
-           budget-bounded, so this is a constant, not a scan);
-         large rounds, STAGED so decided rows never enter an all-to-all
-           (at steady state already-seen rows ARE the frontier; shuffling
-           them dominated select at 10^6+ rows):
-           stage 0  map_batches(robots_seen_batch)   [map-only; broadcast
-                    rules + the round's seen value (one ray.put each, cached
-                    per worker), local probe, retry bypass] — most rows
-                    die here and go straight to distributed counters
+    frontier handle (_LazyFrontier): the previous round's checkpoint parts
+      plus driver-small ``extra`` rows (seeds, an initial frontier, recrawl
+      invalidations); narrow columns only —
+      (url, host, path, depth, priority, discovery_seq, retry, url_hash)
+      -> select: robots + allow/deny gate, seen probe (retry bypass), in-round
+         dedup, per-host top-k.  Politeness-deferred rows go straight to
+         round=R/frontier_deferred/.  Returns the status counts and the
+         candidates as globally sorted blocks.  The plan is picked from
+         runtime sizes here and nowhere else:
+         frontier <= SMALL_FRONTIER_ROWS: the handle is read into a table and
+           one vectorized driver pass decides every row (zero dataset
+           executions; the round is budget-bounded);
+         larger: STAGED so decided rows never enter an all-to-all (at steady
+           state already-seen rows ARE the frontier):
+           stage 0  map_batches(robots_seen_batch) straight off the parts
+                    [broadcast rules + the round's seen value, one ray.put
+                    each, cached per worker]
            stage 1  survivors -> add_salt -> groupby(salt).map_groups(
-                    dedup_and_salt_topk)  [16 url-closed coarse groups,
-                    vectorized inside; same url => same salt => exact]
-           stage 2  stage-1 cand rows only -> groupby(host).map_groups(
-                    host_topk)  [cross-salt top-k merge; input bounded by
-                    N_SALT*k per host]
-           counters come from distributed partial value_counts per stage;
-           deferred rows stream into round=R/frontier_deferred/ parquet
-           parts without touching the driver; ONLY the politeness+budget-
-           bounded cand rows are collected.
-      -> driver: global order (host, depth, priority, discovery_seq),
-                 budget truncation, fetch_seq assignment   [politeness-bounded]
-      -> fetch: selected split into ONE BLOCK PER pages BUCKET (no shuffle;
-           the split is a driver filter) -> map_batches(fetch_bucket_group)
-           Arrow left join against pages/bucket=K/ parquet (only touched
-           buckets, columns url+html; optional per-host rate-limiter
-           reservation against named actors)
-      -> map_batches(extract_batch_fn)       markdown + canonicalized links
-           (num_cpus=2: allocation-heavy Python — see BENCH/BASELINE.md)
-      -> materialize once: write docs/round=R parquet + column-pruned
-         projection for the vectorized (Arrow list-kernel) link explode;
-         barrier: counters, errors, checkpoint; then the next seen value
-         is merged from the round's seen delta read back from the checkpoint.
+                    dedup_and_salt_topk)  [url-closed groups: exact]
+           stage 2  stage-1 cands -> groupby(host).map_groups(host_topk)
+                    [bounded by N_SALT*k per host]
+           and the candidates are sorted on the driver up to
+           SMALL_SELECT_ROWS, else range-sorted as distributed blocks.
+      -> schedule: ONE finalize per sorted block (_finalize_sorted_block; in
+         process for a driver block, a Ray task per block otherwise): global
+         rank from per-block row counts, fetch_seq, budget cut (overflow ->
+         frontier_deferred/overflow_*), schedule part -> round=R/selected/,
+         and the fetch feed as bucket-pure tables.
+      -> fetch_extract: map_batches(fetch_bucket_group), an Arrow left join
+         against pages/bucket=K/ (one bucket file per task; optional per-host
+         rate-limiter reservations) -> map_batches(extract_batch_fn)
+         (num_cpus=2: allocation-heavy Python — see BENCH/BASELINE.md) ->
+         materialize once: docs/round=R parts + manifest, and the children
+         explode written to round=R/frontier_children/.  Returns the misses.
+      -> commit: counters, errors and retries (frontier_next.parquet), the
+         checkpoint barrier (``write_round``), then the round's seen delta —
+         the url_hash column of its schedule parts — merged into the seen
+         value.  Returns the next frontier handle.
 
 Crawl-order semantics: the fetch schedule of round R is the candidates that
 survive robots/dedup/seen/politeness, in the total order
@@ -55,19 +53,24 @@ once in the next round, then counted ``failed`` (the reference retries never:
 ``SharePointClient.cs:283-293``; the engine's single retry exercises the
 north-rule's ``retried`` counter).
 
-Scale notes: the only driver-side materializations are (a) the selected set
-per round — bounded by politeness (hosts x max_per_host_per_round) and the
-global budget, never by frontier size — and (b) the next-frontier handoff,
-which at 10^10 scale becomes a distributed ``write_parquet`` of the same
-rows; both are narrow (no html/text ever enters the frontier).
+Scale notes: past the size thresholds the driver holds neither the frontier
+nor the schedule — only status counts, one row count per sorted block and
+the fetch misses; no html/text ever enters the frontier.
 """
 
 from __future__ import annotations
 
+import collections
+import hashlib
+import json
 import os
+import shutil
+import tempfile
+import time
 import uuid
 from dataclasses import dataclass, field
 from glob import glob
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -79,22 +82,27 @@ import ray
 import ray.data as rd
 
 from .canonicalize import canonicalize, host_of, path_of, url_hash64
-from .checkpoint import COUNTER_KEYS, CheckpointManager, read_seen_delta, seen_hashes_through
-from .extract import extract_document
+from .checkpoint import (
+    COUNTER_KEYS,
+    CheckpointManager,
+    read_seen_delta,
+    seen_hashes_through,
+    selected_files,
+    write_docs_manifest,
+)
+from .extract import extract_document, parse_layout
 from .frontier import (
     FRONTIER_SCHEMA,
     ORDER_COLS,
     frontier_row,
-    N_SALT,
     SEQ_STRIDE,
     add_salt,
-    child_discovery_seq,
     dedup_and_salt_topk,
     global_order_indices,
     host_topk,
     seeds_to_frontier,
 )
-from .politeness import RobotsRules, UrlGate
+from .politeness import RobotsRules, UrlGate, make_rate_limiter_shard
 from .seen import SeenSet, check_many_via_handles
 from .synth import default_budget
 
@@ -149,8 +157,6 @@ def _etag(html: bytes) -> str:
     # on this class of machine, and the etag only needs to be a
     # deterministic content fingerprint (the reference's is an opaque
     # server-provided string)
-    import hashlib
-
     return hashlib.sha256(html).hexdigest()[:16]
 
 
@@ -225,9 +231,6 @@ def fetch_bucket_group(group: pa.Table, pages_dir: str, limiter_shards=None) -> 
         # per-host token buckets (state lives in the rate-limiter actors,
         # surviving across batches and rounds), then wait out the largest
         # reservation before "fetching".
-        import collections
-        import time as _t
-
         counts = collections.Counter(group["host"].to_pylist())
         n = len(limiter_shards)
         waits = ray.get(
@@ -238,7 +241,7 @@ def fetch_bucket_group(group: pa.Table, pages_dir: str, limiter_shards=None) -> 
         )
         wait = max(waits, default=0.0)
         if wait > 0:
-            _t.sleep(wait)
+            time.sleep(wait)
     files = sorted(glob(os.path.join(pages_dir, f"bucket={b}", "*.parquet")))
     urls = group["url"].to_pylist()
     tables = [
@@ -305,8 +308,6 @@ def extract_batch_fn(batch: pa.Table, max_depth: int, with_markdown: bool = True
                 if d.get(f"header_{k}") is not None
             ]
         else:
-            from .extract import parse_layout
-
             d = {"markdown": None, "title": None, "header_doc": None}
             meta = []
             _pages, hrefs = parse_layout(html)
@@ -412,15 +413,28 @@ def _select_on_driver(
     return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
+def _only(status: str):
+    return lambda t: t.filter(pc.equal(t["status"], status))
+
+
+def _status_partial(t: pa.Table) -> pa.Table:
+    svc = pc.value_counts(t["status"])
+    return pa.table(
+        {"status": svc.field("values"), "n": pc.cast(svc.field("counts"), pa.int64())}
+    )
+
+
+def _status_counts(ds) -> dict:
+    """Distributed partial value_counts of a disposition dataset's status."""
+    df = ds.map_batches(_status_partial, batch_format="pyarrow").to_pandas()
+    return df.groupby("status")["n"].sum().to_dict() if len(df) else {}
+
+
 def _collect(ds) -> pa.Table:
     batches = list(ds.iter_batches(batch_size=65536, batch_format="pyarrow"))
     if not batches:
         return None
     return pa.concat_tables(batches, promote_options="default")
-
-
-def _empty_frontier() -> pa.Table:
-    return FRONTIER_SCHEMA.empty_table()
 
 
 def _cast_frontier_batch(t: pa.Table) -> pa.Table:
@@ -431,12 +445,20 @@ def _cast_frontier_batch(t: pa.Table) -> pa.Table:
     )
 
 
+def _fresh_dir(path: str) -> str:
+    """An empty directory at ``path``.  Crash-rerun safety: a round without
+    ``_SUCCESS`` is re-run on resume, and the parts of the earlier attempt
+    must not survive into it (part names are unique per execution)."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    return path
+
+
 @ray.remote
 def _block_nrows(tbl: pa.Table) -> int:
     return tbl.num_rows
 
 
-@ray.remote(num_returns="dynamic")
 def _finalize_sorted_block(
     tbl: pa.Table,
     rank0: int,
@@ -448,32 +470,30 @@ def _finalize_sorted_block(
     selected_dir: str,
     part_id: int,
 ):
-    """Distributed schedule finalize for ONE globally-sorted candidate block.
+    """The schedule finalize for ONE globally sorted candidate block.
 
-    The zip-with-index idiom: the driver computed this block's global rank
-    offset (``rank0``) from per-block row counts only, so ``fetch_seq`` =
-    ``seq_offset + rank0 + arange`` is bit-identical to the driver path's
-    contiguous numbering without the schedule ever materializing there.
-    This task also owns the block's side effects, keeping them off the
-    driver: budget-overflow rows spill to the round's deferred parts, the
-    schedule part lands in ``round=R/selected/`` (whose url_hash column is
-    the round's seen delta, merged by the driver at the barrier), and the
-    fetch feed is yielded as bucket-pure tables so each fetch task still
-    reads exactly one pages bucket file.
+    The zip-with-index idiom: ``rank0`` is the block's global rank offset,
+    computed from per-block row counts only, so ``fetch_seq`` =
+    ``seq_offset + rank0 + arange`` numbers the round contiguously however
+    the candidates were split.  The first ``sel_n`` rows are the block's
+    share of the budget; the rest spill to the round's deferred parts.  The
+    schedule part lands in ``round=R/selected/`` (its url_hash column is the
+    round's seen delta), and the fetch feed is yielded as bucket-pure tables
+    so each fetch task reads exactly one pages bucket file.  The driver path
+    runs it in process; the distributed path as ``_finalize_remote``.
     """
     sel = tbl.slice(0, sel_n)
     over = tbl.slice(sel_n)
     if over.num_rows:
         pq.write_table(
-            over.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA),
+            _cast_frontier_batch(over),
             os.path.join(deferred_dir, f"overflow_{part_id}.parquet"),
         )
     if sel.num_rows == 0:
         return
     n = sel.num_rows
     sel = (
-        sel.select(FRONTIER_SCHEMA.names)
-        .cast(FRONTIER_SCHEMA)
+        _cast_frontier_batch(sel)
         .append_column(
             "fetch_seq", pa.array(seq_offset + rank0 + np.arange(n), pa.int64())
         )
@@ -487,54 +507,72 @@ def _finalize_sorted_block(
         yield with_bucket.filter(pc.equal(with_bucket["bucket"], int(b)))
 
 
-class _LazyFrontier:
-    """Large-round frontier handle: paths + footer row count, never rows.
+_finalize_remote = ray.remote(num_returns="dynamic")(_finalize_sorted_block)
 
-    Past ``SMALL_FRONTIER_ROWS`` the per-round handoff stops collecting the
-    children/deferred/extras parts onto the driver (VERDICT r3 "what's
-    wrong" #2 — at 10^10 urls the frontier IS the data); the distributed
-    selection branch is fed a lazy ``read_parquet`` over the checkpoint's
-    own part files instead.  ``extra`` carries driver-small appended rows
-    (recrawl invalidations) without forcing a materialization.
+
+class _LazyFrontier:
+    """A round's frontier: the checkpoint's part files plus ``extra`` rows.
+
+    The files are round ``r``'s next frontier in checkpoint ``cm`` (none for
+    a fresh crawl); ``extra`` carries driver-small rows that are not on disk
+    — seeds, an ``initial_frontier``, recrawl invalidations.  Only parquet
+    footers are read here.  Selection reads the handle into a table when it
+    is small (``to_table``) and otherwise streams it (``to_dataset``), so
+    past ``SMALL_FRONTIER_ROWS`` the frontier never touches the driver
+    (VERDICT r3 "what's wrong" #2 — at 10^10 urls the frontier IS the data).
     """
 
-    def __init__(self, files: list, n_file_rows: int, extra: pa.Table | None = None):
-        self.files = list(files)
-        self._n_file_rows = int(n_file_rows)
-        self.extra = extra if extra is not None else _empty_frontier()
+    def __init__(self, cm=None, r: int = -1, extra: pa.Table | None = None):
+        self.cm, self.r = cm, r
+        self.files = cm.frontier_files(r) if cm is not None else []
+        self._n_file_rows = cm.frontier_next_rows(r) if cm is not None else 0
+        self.extra = FRONTIER_SCHEMA.empty_table()
+        if extra is not None:
+            self.append(extra)
 
     @property
     def num_rows(self) -> int:
         return self._n_file_rows + self.extra.num_rows
 
     def append(self, t: pa.Table) -> None:
-        self.extra = pa.concat_tables([self.extra, t.cast(FRONTIER_SCHEMA)])
+        self.extra = pa.concat_tables([self.extra, _cast_frontier_batch(t)])
 
     def max_discovery_seq(self) -> int:
-        """Distributed single-column max (recrawl seq baseline) — reads only
-        the discovery_seq column, never the frontier rows."""
-        m = rd.read_parquet(self.files, columns=["discovery_seq"]).max("discovery_seq")
-        if self.extra.num_rows:
-            m = max(int(m), int(pc.max(self.extra["discovery_seq"]).as_py()))
-        return int(m)
+        """Single-column max (recrawl seq baseline) — reads only the
+        discovery_seq column of the files, never the frontier rows."""
+        seqs = [pc.max(self.extra["discovery_seq"]).as_py()] if self.extra.num_rows else []
+        if self._n_file_rows:
+            ds = rd.read_parquet(self.files, columns=["discovery_seq"])
+            seqs.append(ds.max("discovery_seq"))
+        return int(max(seqs))
+
+    def to_table(self) -> pa.Table:
+        if not self._n_file_rows:
+            return self.extra
+        files = _cast_frontier_batch(self.cm.read_frontier_next(self.r))
+        return pa.concat_tables([files, self.extra]) if self.extra.num_rows else files
 
     def to_dataset(self):
-        ds = rd.read_parquet(self.files).map_batches(
-            _cast_frontier_batch, batch_format="pyarrow", zero_copy_batch=True
-        )
+        """The frontier as a lazy dataset; the caller ensures rows exist
+        (``rd.read_parquet([])`` raises)."""
+        parts = []
+        if self._n_file_rows:
+            parts.append(
+                rd.read_parquet(self.files).map_batches(
+                    _cast_frontier_batch, batch_format="pyarrow", zero_copy_batch=True
+                )
+            )
         if self.extra.num_rows:
-            ds = ds.union(rd.from_arrow(self.extra))
-        return ds
+            step = 65536  # one block per slice: stage 0 runs as parallel tasks
+            parts.append(rd.from_arrow(
+                [self.extra.slice(i, step) for i in range(0, self.extra.num_rows, step)]
+            ))
+        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
-def _frontier_handle(cm, r: int):
-    """Round-r+1 frontier: a driver Arrow table when budget-bounded small
-    (the selection runs on the driver anyway), else a lazy handle over the
-    checkpoint's own parquet parts.  The size decision reads only footers."""
-    n = cm.frontier_next_rows(r)
-    if n <= SMALL_FRONTIER_ROWS:
-        return cm.read_frontier_next(r)
-    return _LazyFrontier(cm.frontier_files(r), n)
+def _frontier_handle(cm, r: int) -> _LazyFrontier:
+    """Round r+1's frontier: a handle on round r's checkpoint parts."""
+    return _LazyFrontier(cm, r)
 
 
 _CHG_SCHEMA = pa.schema(
@@ -678,8 +716,6 @@ def precount(corpus_dir: str, budget: dict | None = None, filters: dict | None =
     2x listing traffic for its progress bar — this is opt-in; normal runs get
     progress from the per-round checkpoint counters instead.
     """
-    import tempfile
-
     with tempfile.TemporaryDirectory(prefix="precount_") as tmp:
         res = crawl(
             corpus_dir,
@@ -701,8 +737,6 @@ class CrawlResult:
     seen_stats: list = field(default_factory=list)
 
     def order_table(self) -> pa.Table:
-        from .checkpoint import selected_files
-
         tables = []
         for r in range(self.rounds):
             for p in selected_files(self.ckpt_dir, r):
@@ -723,6 +757,309 @@ class CrawlResult:
         return rd.read_parquet(self.docs_dir)
 
 
+@dataclass
+class _Crawl:
+    """What every round of one ``crawl()`` call shares."""
+
+    cm: CheckpointManager
+    docs_dir: str
+    pages_dir: str
+    n_buckets: int
+    robots: RobotsRules
+    robots_ref: ray.ObjectRef
+    gate: UrlGate
+    seen: SeenSet
+    k: int
+    max_depth: int
+    with_markdown: bool
+    limiter_shards: list | None
+
+    def round_dir(self, r: int, sub: str) -> str:
+        return os.path.join(self.cm.dir, f"round={r}", sub)
+
+
+class _Selection(NamedTuple):
+    counts: dict  # status -> rows: robots, filtered, dup, seen, deferred
+    blocks: list  # globally sorted candidate blocks, in rank order
+    on_driver: bool  # blocks are driver tables, not object refs
+
+
+class _Schedule(NamedTuple):
+    n_sel: int  # rows scheduled (attempted)
+    n_overflow: int  # candidates cut by the budget
+    fetch_ds: object  # bucket-pure fetch feed (Dataset), None when n_sel == 0
+
+
+_NO_MISSES = pa.table(
+    {
+        "url": pa.array([], pa.string()),
+        "fetch_seq": pa.array([], pa.int64()),
+        "retry": pa.array([], pa.int8()),
+        "status": pa.array([], pa.string()),
+    }
+)
+
+
+def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
+    """Gate, seen probe, dedup and politeness over the round's frontier."""
+    deferred_dir = _fresh_dir(c.round_dir(r, "frontier_deferred"))
+    if frontier.num_rows <= SMALL_FRONTIER_ROWS:
+        # Small round: the whole selection runs on the driver — the rules
+        # and the seen value are local, and the SAME group functions run in
+        # pandas.  The frontier here is bounded, and a distributed selection
+        # would spend more on two all-to-alls than the round's total compute.
+        disp = _select_on_driver(frontier.to_table(), c.robots, c.gate, c.seen, c.k)
+        counts = {
+            d["values"]: d["counts"] for d in pc.value_counts(disp["status"]).to_pylist()
+        }
+        if counts.get("deferred"):
+            pq.write_table(
+                _cast_frontier_batch(_only("deferred")(disp)),
+                os.path.join(deferred_dir, "deferred.parquet"),
+            )
+        cand = _only("cand")(disp)
+        return _Selection(counts, [cand.take(global_order_indices(cand))], True)
+
+    # Large round: the driver NEVER sees the full disposition (at 10^10 the
+    # seen/dup rows ARE the frontier).  Every group is bounded by N_SALT*k
+    # rows even for a hot host (SURVEY.md §7.6.4).
+    robots_ref, gate, k = c.robots_ref, c.gate, c.k
+    seen_ref = ray.put(c.seen.shards)
+    # Stage 0 (map-only, NO shuffle): robots + gate + seen, straight off the
+    # checkpoint's parts.  At steady state most rows die here, and decided
+    # rows never enter an all-to-all.
+    stage0 = frontier.to_dataset().map_batches(
+        lambda t: robots_seen_batch(t, robots_ref, seen_ref, gate),
+        batch_format="pyarrow",
+        batch_size=65536,
+        zero_copy_batch=True,
+    ).materialize()
+    # Stage 1: salted in-round dedup + per-salt top-k over gate survivors
+    # (url-closed groups; same url => same salt).
+    stage1 = (
+        stage0.map_batches(_only("cand"), batch_format="pyarrow")
+        .map_batches(add_salt, batch_format="pyarrow")
+        .groupby("salt")
+        .map_groups(
+            lambda df: _disp_arrow(dedup_and_salt_topk(df, k)), batch_format="pandas"
+        )
+    ).materialize()
+    # Stage 2: exact per-host top-k over stage-1 survivors only.
+    stage2 = (
+        stage1.map_batches(_only("cand"), batch_format="pyarrow")
+        .groupby("host")
+        .map_groups(lambda df: _disp_arrow(host_topk(df, k)), batch_format="pandas")
+    ).materialize()
+    vc0, vc1, vc2 = (_status_counts(s) for s in (stage0, stage1, stage2))
+    counts = {
+        "robots": vc0.get("robots", 0),
+        "filtered": vc0.get("filtered", 0),
+        "dup": vc1.get("dup", 0),
+        "seen": vc0.get("seen", 0),
+        "deferred": vc1.get("deferred", 0) + vc2.get("deferred", 0),
+    }
+    if counts["deferred"]:
+        # deferred rows of both stages stream into the round's frontier
+        # parts — they never reach the driver
+        for src in (stage1, stage2):
+            src.map_batches(
+                lambda t: _cast_frontier_batch(_only("deferred")(t)),
+                batch_format="pyarrow",
+            ).write_parquet(deferred_dir)
+    cands = stage2.map_batches(_only("cand"), batch_format="pyarrow")
+    if vc2.get("cand", 0) > SMALL_SELECT_ROWS:
+        # too many to order on the driver: a range-partitioned sort, and the
+        # blocks stay in the object store
+        blocks = (
+            cands.map_batches(
+                _cast_frontier_batch, batch_format="pyarrow", zero_copy_batch=True
+            )
+            .sort(ORDER_COLS)
+            .materialize()
+            .to_arrow_refs()
+        )
+        return _Selection(counts, blocks, False)
+    cand = _collect(cands) or _DISP_SCHEMA.empty_table()
+    return _Selection(counts, [cand.take(global_order_indices(cand))], True)
+
+
+def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: int) -> _Schedule:
+    """Number, budget-cut and write the round's fetch schedule.
+
+    One finalize per sorted block.  The driver holds one row count per block
+    and computes each block's rank offset by prefix sum; the budget cut is
+    the same prefix of the same total order (ORDER_COLS is unique per row)
+    whichever way the blocks were made.
+    """
+    selected_dir = _fresh_dir(c.round_dir(r, "selected"))
+    deferred_dir = c.round_dir(r, "frontier_deferred")
+    if sel.on_driver:
+        rows = [b.num_rows for b in sel.blocks]
+    else:
+        rows = ray.get([_block_nrows.remote(b) for b in sel.blocks])
+    rows = np.asarray(rows, np.int64)
+    starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(rows)])
+    n_sel = int(min(starts[-1], remaining))
+    args = [
+        (b, int(starts[i]), int(np.clip(n_sel - starts[i], 0, rows[i])), seq_offset,
+         r, c.n_buckets, deferred_dir, selected_dir, i)
+        for i, b in enumerate(sel.blocks)
+    ]
+    if sel.on_driver:
+        parts = [t for a in args for t in _finalize_sorted_block(*a)]
+        fetch_ds = rd.from_arrow(parts) if parts else None
+    else:
+        refs = [t for g in ray.get([_finalize_remote.remote(*a) for a in args]) for t in g]
+        fetch_ds = rd.from_arrow_refs(refs) if refs else None
+    return _Schedule(n_sel, int(starts[-1]) - n_sel, fetch_ds)
+
+
+def _fetch_extract(c: _Crawl, sched: _Schedule, r: int) -> pa.Table:
+    """Fetch and extract the schedule, write the round's docs and children
+    parts, and return the narrow (url, fetch_seq, retry, status) miss rows."""
+    round_docs_dir = os.path.join(c.docs_dir, f"round={r}")
+    children_dir = c.round_dir(r, "frontier_children")
+    for d in (round_docs_dir, children_dir):
+        shutil.rmtree(d, ignore_errors=True)  # crash-rerun safety
+    if sched.fetch_ds is None:
+        return _NO_MISSES
+    pages_dir, limiter_shards = c.pages_dir, c.limiter_shards
+    max_depth, with_markdown = c.max_depth, c.with_markdown
+    # num_cpus=2: extraction is allocation-heavy Python; measured on this
+    # class of machine it scales near-linearly to ~12-16 concurrent
+    # processes and then collapses (memory/page-fault contention), so each
+    # task reserves 2 logical CPUs — a 32-CPU node runs 16 extract tasks at
+    # its throughput plateau instead of 32 tasks past the cliff.
+    docs = sched.fetch_ds.map_batches(
+        lambda t: fetch_bucket_group(t, pages_dir, limiter_shards),
+        batch_format="pyarrow",
+        batch_size=None,
+        num_cpus=2,
+    ).map_batches(
+        lambda t: extract_batch_fn(t, max_depth, with_markdown=with_markdown),
+        batch_format="pyarrow",
+        batch_size=256,
+        num_cpus=2,
+        zero_copy_batch=True,
+    )
+    # One execution materializes the round's docs; the parquet write, the
+    # distributed children explode and the narrow status projection all
+    # reuse the materialized blocks.
+    docs_mat = docs.materialize()
+    docs_mat.write_parquet(round_docs_dir)
+    # Sink validation (UploadResponse analog): per-file row counts + schema
+    # fingerprint vs the round's fetch schedule.
+    write_docs_manifest(round_docs_dir, sched.n_sel)
+    # Children expand + write WITHOUT touching the driver: the link lists
+    # never leave the cluster, and the parts become the next frontier.
+    docs_mat.select_columns(["fetch_seq", "depth", "priority", "links"]).map_batches(
+        explode_links_batch, batch_format="pyarrow", zero_copy_batch=True
+    ).write_parquet(children_dir)
+    st = _collect(docs_mat.select_columns(["url", "fetch_seq", "retry", "status"]))
+    return _only("miss")(st)
+
+
+def _driver_rss_mb() -> float | None:
+    # per-round driver RSS into the round checkpoint: the flat-vs-round-count
+    # witness that the lazy frontier handoff keeps the frontier off the driver
+    try:
+        with open("/proc/self/statm") as f:
+            return round(int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 1e6, 1)
+    except OSError:
+        return None
+
+
+def _commit(c: _Crawl, r: int, sel: _Selection, sched: _Schedule, misses: pa.Table,
+            cumulative: dict, phases: dict) -> _LazyFrontier:
+    """The round barrier: counters, errors and retries into the checkpoint,
+    the round's seen delta into the seen value.  Updates ``cumulative`` and
+    returns the next frontier handle.  ``phases["commit"]`` covers the step
+    up to the checkpoint write itself."""
+    t0 = time.perf_counter()
+    vc = sel.counts
+    retry_np = misses["retry"].to_numpy()
+    n_miss, n_retry = misses.num_rows, int((retry_np == 0).sum())
+    counters = {
+        "attempted": sched.n_sel,
+        "fetched": sched.n_sel - n_miss,
+        "deduped": int(vc.get("dup", 0)) + int(vc.get("seen", 0)),
+        "robots_blocked": int(vc.get("robots", 0)),
+        "filtered": int(vc.get("filtered", 0)),
+        "retried": n_retry,
+        "failed": n_miss - n_retry,
+        "deferred": int(vc.get("deferred", 0)) + sched.n_overflow,
+    }
+    errors = None
+    if n_miss:
+        reasons = np.where(retry_np == 0, "fetch_miss_retryable", "fetch_miss_final")
+        errors = pa.table(
+            {
+                "url": misses["url"],
+                "fetch_seq": misses["fetch_seq"],
+                "round": pa.array(np.full(n_miss, r, np.int32), pa.int32()),
+                "reason": pa.array(reasons.astype(object), pa.string()),
+            }
+        )
+    # A first miss is retried once next round: its frontier row comes back
+    # from the schedule parts by filtered footer reads (misses are small).
+    retries = FRONTIER_SCHEMA.empty_table()
+    if n_retry:
+        rl = misses.filter(pc.equal(misses["retry"], 0))["url"].to_pylist()
+        retries = pa.concat_tables(
+            [
+                pq.read_table(f, columns=FRONTIER_SCHEMA.names, filters=[("url", "in", rl)])
+                for f in selected_files(c.cm.dir, r)
+            ]
+        ).cast(FRONTIER_SCHEMA)
+        retries = retries.set_column(
+            retries.schema.get_field_index("retry"),
+            "retry",
+            pa.array(np.ones(retries.num_rows, np.int8), pa.int8()),
+        )
+    for key in COUNTER_KEYS:
+        cumulative[key] = counters[key] if key == "deferred" else cumulative[key] + counters[key]
+    phases["commit"] = round(time.perf_counter() - t0, 3)
+    c.cm.write_round(r, retries, counters, cumulative, phases=phases, errors=errors,
+                     rss_mb=_driver_rss_mb())
+    c.seen.add_many(read_seen_delta(c.cm.dir, r))
+    return _frontier_handle(c.cm, r)
+
+
+def _timed(phases: dict, name: str, step, *args):
+    t0 = time.perf_counter()
+    out = step(*args)
+    phases[name] = round(time.perf_counter() - t0, 3)
+    return out
+
+
+def _invalidate(c: _Crawl, frontier: _LazyFrontier, urls: list, start_round: int) -> None:
+    """Recrawl invalidation (north-star "cuckoo fallback for deletions"):
+    remove the urls from the restored seen set (a set difference) so they
+    pass the gate again, and append them to the frontier as fresh
+    candidates."""
+    base_seq = frontier.max_discovery_seq() + 1 if frontier.num_rows else 0
+    # Depth-faithful re-queue: a changed page re-enters at its ORIGINAL crawl
+    # depth, so its (mostly unchanged) links stay inside the first run's
+    # exploration horizon — resetting to depth 0 would unlock previously
+    # depth-capped children and cascade-fetch the frontier beyond the changed
+    # set.  Filtered footer reads of the rounds' fetch schedules, bounded by
+    # the invalidation set.
+    canon = [cu for cu in (canonicalize(u) for u in urls) if cu]
+    depth_of: dict = {}
+    if canon:
+        for rr in range(start_round):
+            for f in selected_files(c.cm.dir, rr):
+                t = pq.read_table(f, columns=["url", "depth"], filters=[("url", "in", canon)])
+                depth_of.update(zip(t["url"].to_pylist(), t["depth"].to_pylist()))
+    rows = [
+        frontier_row(cu, int(depth_of.get(cu, 0)), 0, int(base_seq) + i)
+        for i, cu in enumerate(canon)
+    ]
+    if rows:
+        c.seen.delete_many(np.asarray([x["url_hash"] for x in rows], dtype=np.int64))
+        frontier.append(pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA))
+
+
 def crawl(
     corpus_dir: str,
     ckpt_dir: str,
@@ -740,6 +1077,8 @@ def crawl(
 ) -> CrawlResult:
     """Run (or resume) a crawl over a synthetic corpus. Ray must be initialised.
 
+    ``resume=False`` starts over: the checkpoint's rounds and docs from any
+    earlier crawl in ``ckpt_dir`` are removed first.
     ``stop_after_round=R`` returns right after round R's checkpoint barrier —
     the kill-and-resume test hook.  ``invalidate_urls`` removes those urls
     from the restored seen set and re-queues them — the recrawl-after-N-days
@@ -752,14 +1091,10 @@ def crawl(
     longer selects code.  Every crawl uses the one per-round seen value of
     ``engine.seen``, which supports deletion.
     """
-    import json
-
     budget = dict(budget or default_budget())
     with open(os.path.join(corpus_dir, "_corpus.json")) as f:
         corpus_meta = json.load(f)
     n_buckets = corpus_meta["cfg"]["n_buckets"]
-    pages_dir = os.path.join(corpus_dir, "pages")
-    docs_dir = os.path.join(ckpt_dir, "docs")
 
     cfg = {
         "budget": budget,
@@ -770,15 +1105,12 @@ def crawl(
         "collect_markdown": bool(collect_markdown),
         "docs_schema": 3,  # bump when DOCS_SCHEMA changes: stale checkpoint
         # docs must not mix schemas on resume
+        "layout": 2,  # bump when the round layout changes: a resume must
+        # not read rounds written in another layout
     }
     cm = CheckpointManager(ckpt_dir, cfg)
-
-    robots = RobotsRules.from_parquet(os.path.join(corpus_dir, "robots.parquet"))
-    robots_ref = ray.put(robots.rules)
-    gate = UrlGate.from_config(filters)
-
-    run_id = uuid.uuid4().hex[:8]
-    seen = SeenSet(n_shards)
+    if not resume:
+        cm.clear()
 
     limiter_shards = None
     if enforce_delays:
@@ -786,15 +1118,12 @@ def crawl(
         # table) in named rate-limiter actors — bucket state survives across
         # batches, operators and rounds.  Off by default: the sandbox "fetch"
         # is a parquet lookup, so sleeping would only measure sleep.
-        import pyarrow.parquet as _pq
-
-        rt = _pq.read_table(
+        rt = pq.read_table(
             os.path.join(corpus_dir, "robots.parquet"), columns=["host", "crawl_delay_ms"]
         )
         delays = dict(zip(rt["host"].to_pylist(), rt["crawl_delay_ms"].to_pylist()))
-        from .politeness import make_rate_limiter_shard
-
         shard_cls = make_rate_limiter_shard()
+        run_id = uuid.uuid4().hex[:8]
         limiter_shards = [
             shard_cls.options(name=f"ratelimit_{run_id}_{i}", get_if_exists=True).remote(
                 i, delays
@@ -802,492 +1131,60 @@ def crawl(
             for i in range(n_shards)
         ]
 
+    robots = RobotsRules.from_parquet(os.path.join(corpus_dir, "robots.parquet"))
+    c = _Crawl(
+        cm=cm,
+        docs_dir=os.path.join(ckpt_dir, "docs"),
+        pages_dir=os.path.join(corpus_dir, "pages"),
+        n_buckets=n_buckets,
+        robots=robots,
+        robots_ref=ray.put(robots.rules),
+        gate=UrlGate.from_config(filters),
+        seen=SeenSet(n_shards),
+        k=int(budget["max_per_host_per_round"]),
+        max_depth=int(budget["max_depth"]),
+        with_markdown=collect_markdown and not count_only,
+        limiter_shards=limiter_shards,
+    )
+
     cumulative = {k: 0 for k in COUNTER_KEYS}
     start_round = 0
-    frontier = None
-    if resume:
-        last = cm.latest_complete_round()
-        if last >= 0:
-            start_round = last + 1
-            frontier = _frontier_handle(cm, last)
-            seen.add_many(cm.seen_hashes_through(last))
-            cumulative = dict(cm.read_counters(last)["cumulative"])
-    if frontier is None:
-        frontier = (
-            initial_frontier
-            if initial_frontier is not None
-            else seeds_to_frontier(os.path.join(corpus_dir, "seeds.parquet"))
+    last = cm.latest_complete_round() if resume else -1
+    if last >= 0:
+        start_round = last + 1
+        frontier = _frontier_handle(cm, last)
+        c.seen.add_many(cm.seen_hashes_through(last))
+        cumulative = dict(cm.read_counters(last)["cumulative"])
+    elif initial_frontier is not None:
+        frontier = _LazyFrontier(extra=initial_frontier)
+    else:
+        frontier = _LazyFrontier(
+            extra=seeds_to_frontier(os.path.join(corpus_dir, "seeds.parquet"))
         )
 
-    if invalidate_urls:
-        # Recrawl invalidation (north-star "cuckoo fallback for deletions"):
-        # remove the urls from the restored seen set (a set difference) so
-        # they pass the gate again, and append them to the frontier as fresh
-        # candidates.
-        inv_rows = []
-        if not frontier.num_rows:
-            base_seq = 0
-        elif isinstance(frontier, _LazyFrontier):
-            base_seq = frontier.max_discovery_seq() + 1
-        else:
-            base_seq = frontier["discovery_seq"].to_numpy().max() + 1
-        # Depth-faithful re-queue: a changed page re-enters at its ORIGINAL
-        # crawl depth, so its (mostly unchanged) links stay inside the first
-        # run's exploration horizon — resetting to depth 0 would unlock
-        # previously depth-capped children and cascade-fetch the frontier
-        # beyond the changed set.  Filtered footer reads of the rounds'
-        # fetch schedules, bounded by the invalidation set.
-        canon = [c for c in (canonicalize(u) for u in invalidate_urls) if c]
-        depth_of: dict = {}
-        if canon and start_round > 0:
-            from .checkpoint import selected_files
-
-            for rr in range(start_round):
-                for sel in selected_files(ckpt_dir, rr):
-                    t = pq.read_table(
-                        sel, columns=["url", "depth"], filters=[("url", "in", canon)]
-                    )
-                    depth_of.update(zip(t["url"].to_pylist(), t["depth"].to_pylist()))
-        inv_hashes = []
-        for i, cu in enumerate(canon):
-            row = frontier_row(cu, int(depth_of.get(cu, 0)), 0, int(base_seq) + i)
-            inv_rows.append(row)
-            inv_hashes.append(row["url_hash"])
-        if inv_rows:
-            seen.delete_many(np.asarray(inv_hashes, dtype=np.int64))
-            inv_t = pa.Table.from_pylist(inv_rows, schema=FRONTIER_SCHEMA)
-            if isinstance(frontier, _LazyFrontier):
-                frontier.append(inv_t)
-            else:
-                frontier = pa.concat_tables([frontier, inv_t])
-
-    k = int(budget["max_per_host_per_round"])
     max_rounds = int(budget["max_rounds"])
     if invalidate_urls:
+        _invalidate(c, frontier, invalidate_urls, start_round)
         # a recrawl gets a fresh per-invocation round allowance (the first
         # run may have exhausted max_rounds); the GLOBAL url budget still
         # applies across the whole checkpoint lineage
-        max_rounds = start_round + int(budget["max_rounds"])
+        max_rounds += start_round
     max_total = int(budget["max_urls_total"])
-    max_depth = int(budget["max_depth"])
 
     r = start_round
     try:
-        while r < max_rounds:
-            if frontier.num_rows == 0 or cumulative["attempted"] >= max_total:
-                break
-            import time as _time
-
-            _phase_t0 = _time.time()
-            _phases = {}
-            counters = {key: 0 for key in COUNTER_KEYS}
-
-            if frontier.num_rows <= SMALL_FRONTIER_ROWS:
-                # Small round: the whole selection phase runs on the driver —
-                # robots rules and the seen value are local, and the SAME
-                # group functions run in pandas.  This is not a driver-side
-                # loop over the data: the frontier here is bounded, and a
-                # distributed selection would spend more on two all-to-alls
-                # than the round's total compute.  At real frontier sizes the
-                # distributed branch below engages; both branches are
-                # conformance-tested against the oracle.
-                disp_t = _select_on_driver(frontier, robots, gate, seen, k)
-                cand_t = disp_t.filter(pc.equal(disp_t["status"], "cand"))
-                deferred_t = disp_t.filter(
-                    pc.equal(disp_t["status"], "deferred")
-                ).select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
-                vc = {
-                    d["values"]: d["counts"]
-                    for d in pc.value_counts(disp_t["status"]).to_pylist()
-                }
-                n_deferred_dist = 0
-            else:
-                # Large round: robots+seen gate fused ahead of the salted
-                # two-stage politeness tree; every group is bounded by
-                # N_SALT*k rows even for a hot host (SURVEY.md §7.6.4).
-                # The driver NEVER sees the full disposition (at 10^10 the
-                # seen/dup rows ARE the frontier): status counters come from
-                # a distributed partial value_counts, deferred rows stream
-                # straight into the round's frontier parts, and only the
-                # politeness+budget-bounded cand rows are collected.
-                if isinstance(frontier, _LazyFrontier):
-                    # the frontier never touched the driver: stage 0 streams
-                    # straight off the checkpoint's own parquet parts
-                    cand = frontier.to_dataset()
-                else:
-                    n_blocks = max(2, min(64, frontier.num_rows // 65536 + 1))
-                    cand = rd.from_arrow(frontier).repartition(n_blocks)
-
-                def status_partial(t: pa.Table) -> pa.Table:
-                    svc = pc.value_counts(t["status"])
-                    return pa.table(
-                        {
-                            "status": svc.field("values"),
-                            "n": pc.cast(svc.field("counts"), pa.int64()),
-                        }
-                    )
-
-                def _counts(ds_) -> dict:
-                    df_ = ds_.map_batches(
-                        status_partial, batch_format="pyarrow"
-                    ).to_pandas()
-                    return df_.groupby("status")["n"].sum().to_dict() if len(df_) else {}
-
-                def _only(status_val):
-                    return lambda t: t.filter(pc.equal(t["status"], status_val))
-
-                # Stage 0 (map-only, NO shuffle): robots + gate + seen.  At
-                # steady state most frontier rows die here (already-seen),
-                # and re-exchanging them through the politeness shuffles was
-                # the dominant select cost at 10^6+ rows — decided rows never
-                # enter an all-to-all again.  The round's seen value travels
-                # as one object, fetched once per worker.
-                seen_ref = ray.put(seen.shards)
-                stage0 = cand.map_batches(
-                    lambda t: robots_seen_batch(t, robots_ref, seen_ref, gate),
-                    batch_format="pyarrow",
-                    batch_size=65536,
-                    zero_copy_batch=True,
-                ).materialize()
-                vc0 = _counts(stage0)
-
-                # Stage 1: salted in-round dedup + per-salt top-k over gate
-                # SURVIVORS only (url-closed groups; same url => same salt).
-                stage1 = (
-                    stage0.map_batches(_only("cand"), batch_format="pyarrow")
-                    .map_batches(add_salt, batch_format="pyarrow")
-                    .groupby("salt")
-                    .map_groups(
-                        lambda df: _disp_arrow(dedup_and_salt_topk(df, k)),
-                        batch_format="pandas",
-                    )
-                ).materialize()
-                vc1 = _counts(stage1)
-
-                # Stage 2: exact per-host top-k over stage-1 SURVIVORS only
-                # (bounded by N_SALT*k per host).
-                stage2 = (
-                    stage1.map_batches(_only("cand"), batch_format="pyarrow")
-                    .groupby("host")
-                    .map_groups(
-                        lambda df: _disp_arrow(host_topk(df, k)),
-                        batch_format="pandas",
-                    )
-                ).materialize()
-                vc2 = _counts(stage2)
-
-                vc = {
-                    "robots": vc0.get("robots", 0),
-                    "filtered": vc0.get("filtered", 0),
-                    "dup": vc1.get("dup", 0),
-                    "seen": vc0.get("seen", 0),
-                    "deferred": vc1.get("deferred", 0) + vc2.get("deferred", 0),
-                }
-
-                deferred_dir = os.path.join(ckpt_dir, f"round={r}", "frontier_deferred")
-                import shutil as _sh
-
-                if os.path.isdir(deferred_dir):
-                    _sh.rmtree(deferred_dir)  # crash-rerun safety
-                n_deferred_dist = int(vc["deferred"])
-                if n_deferred_dist:
-                    # deferred rows stream into the round's frontier parts
-                    # from BOTH stages — they never reach the driver
-                    for src in (stage1, stage2):
-                        src.map_batches(
-                            lambda t: _only("deferred")(t)
-                            .select(FRONTIER_SCHEMA.names)
-                            .cast(FRONTIER_SCHEMA),
-                            batch_format="pyarrow",
-                        ).write_parquet(deferred_dir)
-                deferred_t = _empty_frontier()
-                n_cand_dist = int(vc2.get("cand", 0))
-                if n_cand_dist > SMALL_SELECT_ROWS:
-                    # The politeness survivors themselves are too many to
-                    # order on the driver — the schedule finalize runs
-                    # distributed below (cand_t=None is the branch marker).
-                    cand_t = None
-                    cand_sorted = (
-                        stage2.map_batches(_only("cand"), batch_format="pyarrow")
-                        .map_batches(
-                            _cast_frontier_batch,
-                            batch_format="pyarrow",
-                            zero_copy_batch=True,
-                        )
-                        .sort(ORDER_COLS)
-                    ).materialize()
-                else:
-                    cand_t = _collect(
-                        stage2.map_batches(_only("cand"), batch_format="pyarrow")
-                    )
-                    if cand_t is None:
-                        cand_t = _empty_frontier().append_column(
-                            "status", pa.array([], pa.string())
-                        )
-
-            _phases["select"] = round(_time.time() - _phase_t0, 3)
-            _phase_t0 = _time.time()
-
-            counters["robots_blocked"] += int(vc.get("robots", 0))
-            counters["filtered"] += int(vc.get("filtered", 0))
-            counters["deduped"] += int(vc.get("dup", 0)) + int(vc.get("seen", 0))
-            remaining = max_total - cumulative["attempted"]
-            sel_ds = None
-            selected_dir = os.path.join(ckpt_dir, f"round={r}", "selected")
-            if cand_t is None:
-                # DISTRIBUTED schedule finalize (zip-with-index): the driver
-                # sees one row count per sorted block, computes rank offsets
-                # by prefix sum, and each block attaches its own contiguous
-                # fetch_seq range, spills its budget overflow to the deferred
-                # parts, writes its schedule part, and yields bucket-pure
-                # fetch batches.  Bit-identical to the driver path: the sort
-                # is the same total order (ORDER_COLS is unique per row) and
-                # the budget cut is the same prefix.
-                import shutil as _sh2
-
-                if os.path.isdir(selected_dir):
-                    _sh2.rmtree(selected_dir)  # crash-rerun safety
-                os.makedirs(selected_dir, exist_ok=True)
-                os.makedirs(deferred_dir, exist_ok=True)
-                refs = cand_sorted.to_arrow_refs()
-                blk_counts = np.asarray(
-                    ray.get([_block_nrows.remote(x) for x in refs]), np.int64
-                )
-                starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(blk_counts)])
-                n_cand_total = int(starts[-1])
-                n_sel = int(min(n_cand_total, remaining))
-                n_deferred_dist += n_cand_total - n_sel
-                selected_t = None
-                gen_refs = [
-                    _finalize_sorted_block.remote(
-                        ref,
-                        int(starts[i]),
-                        int(np.clip(n_sel - starts[i], 0, blk_counts[i])),
-                        cumulative["attempted"],
-                        r,
-                        n_buckets,
-                        deferred_dir,
-                        selected_dir,
-                        i,
-                    )
-                    for i, ref in enumerate(refs)
-                ]
-                bucket_refs = [br for g in ray.get(gen_refs) for br in g]
-                if bucket_refs:
-                    sel_ds = rd.from_arrow_refs(bucket_refs)
-            else:
-                if cand_t.num_rows == 0:
-                    selected_t = _empty_frontier()
-                else:
-                    order = global_order_indices(cand_t)
-                    cand_t = cand_t.take(order)
-                    if cand_t.num_rows > remaining:
-                        overflow = cand_t.slice(remaining)
-                        deferred_t = pa.concat_tables(
-                            [deferred_t,
-                             overflow.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)]
-                        )
-                        cand_t = cand_t.slice(0, remaining)
-                    selected_t = cand_t.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
-                n_sel = selected_t.num_rows
-            counters["attempted"] = n_sel
-            counters["deferred"] = deferred_t.num_rows + n_deferred_dist
-
-            retry_rows = _empty_frontier()
-            errors_t = None
-            if n_sel:
-                if sel_ds is None:
-                    offset = cumulative["attempted"]
-                    selected_t = (
-                        selected_t.select(FRONTIER_SCHEMA.names)
-                        .cast(FRONTIER_SCHEMA)
-                        .append_column("fetch_seq", pa.array(offset + np.arange(n_sel), pa.int64()))
-                        .append_column("round", pa.array(np.full(n_sel, r, np.int32), pa.int32()))
-                    )
-                    # Partition the fetch schedule by pages bucket WITHOUT a
-                    # shuffle: the selected set is driver-resident, so split it
-                    # into one Arrow table per bucket and feed from_arrow one
-                    # block per bucket — each fetch task then reads exactly one
-                    # bucket file.  (The groupby(bucket) all-to-all this replaces
-                    # cost ~1s of fixed exchange per round.)
-                    buckets_np = selected_t["url_hash"].to_numpy() % n_buckets
-                    with_bucket = selected_t.append_column(
-                        "bucket", pa.array(buckets_np, pa.int32())
-                    )
-                    parts = [
-                        with_bucket.filter(pc.equal(with_bucket["bucket"], int(b)))
-                        for b in np.unique(buckets_np)
-                    ]
-                    sel_ds = rd.from_arrow(parts)
-                # num_cpus=2: extraction is allocation-heavy Python; measured
-                # on this class of machine it scales near-linearly to ~12-16
-                # concurrent processes and then collapses (memory/page-fault
-                # contention), so each task reserves 2 logical CPUs — a
-                # 32-CPU node runs 16 extract tasks at its throughput
-                # plateau instead of 32 tasks past the cliff.
-                fetched = sel_ds.map_batches(
-                    lambda t: fetch_bucket_group(t, pages_dir, limiter_shards),
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    num_cpus=2,
-                )
-                docs = fetched.map_batches(
-                    lambda t: extract_batch_fn(
-                        t, max_depth, with_markdown=collect_markdown and not count_only
-                    ),
-                    batch_format="pyarrow",
-                    batch_size=256,
-                    num_cpus=2,
-                    zero_copy_batch=True,
-                )
-                import shutil as _shutil
-
-                round_docs_dir = os.path.join(docs_dir, f"round={r}")
-                children_dir = os.path.join(ckpt_dir, f"round={r}", "frontier_children")
-                # Crash-rerun safety: an incomplete round (no _SUCCESS) is
-                # re-executed on resume; write_parquet part names are unique
-                # per execution, so stale parts must be cleared first.
-                for d in (round_docs_dir, children_dir):
-                    if os.path.isdir(d):
-                        _shutil.rmtree(d)
-                # One execution materializes the round's docs; the parquet
-                # write, the DISTRIBUTED children explode, and the narrow
-                # status projection all reuse the materialized blocks.
-                docs_mat = docs.materialize()
-                _phases["fetch_extract"] = round(_time.time() - _phase_t0, 3)
-                _phase_t0 = _time.time()
-                docs_mat.write_parquet(round_docs_dir)
-                # Sink validation (UploadResponse analog): per-file row
-                # counts + schema fingerprint vs the round's fetch schedule.
-                from .checkpoint import write_docs_manifest
-
-                write_docs_manifest(round_docs_dir, n_sel)
-                # Children expand + write WITHOUT touching the driver: the
-                # link lists never leave the cluster; the parts land inside
-                # the round's checkpoint dir and become (with the extras
-                # file) the next round's frontier.
-                docs_mat.select_columns(
-                    ["fetch_seq", "depth", "priority", "links"]
-                ).map_batches(
-                    explode_links_batch, batch_format="pyarrow", zero_copy_batch=True
-                ).write_parquet(children_dir)
-                _phases["docs_write"] = round(_time.time() - _phase_t0, 3)
-                _phase_t0 = _time.time()
-                # Post-extract accounting, fully in Arrow kernels: the old
-                # Python passes over 10^5-element status lists were serial
-                # driver time that capped scaling efficiency (V8).  Only the
-                # narrow miss columns are collected.
-                st_t = _collect(
-                    docs_mat.select_columns(["url", "fetch_seq", "retry", "status"])
-                )
-                miss_t = st_t.filter(pc.equal(st_t["status"], "miss"))
-                n_miss = miss_t.num_rows
-                if n_miss:
-                    retry_np = miss_t["retry"].to_numpy()
-                    reasons = np.where(
-                        retry_np == 0, "fetch_miss_retryable", "fetch_miss_final"
-                    )
-                    errors_t = pa.table(
-                        {
-                            "url": miss_t["url"],
-                            "fetch_seq": miss_t["fetch_seq"],
-                            "round": pa.array(np.full(n_miss, r, np.int32), pa.int32()),
-                            "reason": pa.array(reasons.astype(object), pa.string()),
-                        }
-                    )
-                    n_retry = int((retry_np == 0).sum())
-                else:
-                    errors_t = None
-                    n_retry = 0
-                counters["fetched"] = n_sel - n_miss
-                counters["retried"] = n_retry
-                counters["failed"] = n_miss - n_retry
-                if n_retry:
-                    retry_urls = miss_t.filter(pc.equal(miss_t["retry"], 0))["url"]
-                    if selected_t is not None:
-                        rt = selected_t.filter(
-                            pc.is_in(selected_t["url"], value_set=retry_urls.combine_chunks())
-                        ).select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
-                    else:
-                        # distributed round: recover the retries' frontier
-                        # rows by filtered footer reads of the schedule parts
-                        # (misses are driver-small by construction)
-                        from .checkpoint import selected_files as _sel_files
-
-                        rl = retry_urls.combine_chunks().to_pylist()
-                        rt = pa.concat_tables(
-                            [
-                                pq.read_table(
-                                    f,
-                                    columns=FRONTIER_SCHEMA.names,
-                                    filters=[("url", "in", rl)],
-                                )
-                                for f in _sel_files(ckpt_dir, r)
-                            ]
-                        ).cast(FRONTIER_SCHEMA)
-                    retry_rows = rt.set_column(
-                        rt.schema.get_field_index("retry"),
-                        "retry",
-                        pa.array(np.ones(len(rt), np.int8), pa.int8()),
-                    )
-            # Extras = deferred + retries (driver-small); children live as
-            # distributed parquet parts inside the round dir already.
-            frontier_next = pa.concat_tables([deferred_t, retry_rows])
-
-            for key in COUNTER_KEYS:
-                if key != "deferred":
-                    cumulative[key] += counters[key]
-            cumulative["deferred"] = counters["deferred"]
-
-            _phases["expand_barrier"] = round(_time.time() - _phase_t0, 3)
-            try:
-                # per-round driver RSS into the round checkpoint: the
-                # flat-vs-round-count witness that the lazy frontier handoff
-                # keeps the frontier off the driver (VERDICT r3 wrong #2)
-                with open("/proc/self/statm") as _f:
-                    rss_mb = round(
-                        int(_f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 1e6, 1
-                    )
-            except OSError:
-                rss_mb = None
-
-            if selected_t is None:  # distributed: parts already on disk
-                sched_arg, delta_arg = None, None
-            elif n_sel:
-                sched_arg = selected_t
-                delta_arg = selected_t["url_hash"].to_numpy()
-            else:
-                sched_arg = (
-                    FRONTIER_SCHEMA.empty_table()
-                    .append_column("fetch_seq", pa.array([], pa.int64()))
-                    .append_column("round", pa.array([], pa.int32()))
-                )
-                delta_arg = np.zeros(0, np.int64)
-            cm.write_round(
-                r,
-                sched_arg,
-                frontier_next,
-                delta_arg,
-                counters,
-                cumulative,
-                phases=_phases,
-                errors=errors_t,
-                rss_mb=rss_mb,
-            )
-            # The next round's seen value: merge this round's delta, read
-            # back from the checkpoint whichever selection path wrote it.
-            seen.add_many(read_seen_delta(ckpt_dir, r))
-            # Next frontier = extras file + children parts, straight from the
-            # checkpoint (the handoff IS the checkpoint).  Small rounds hand
-            # back a driver table; past SMALL_FRONTIER_ROWS the handle is
-            # lazy and the distributed selection reads the parts itself.
-            frontier = _frontier_handle(cm, r)
+        while r < max_rounds and frontier.num_rows and cumulative["attempted"] < max_total:
+            done = cumulative["attempted"]
+            phases = {}
+            sel = _timed(phases, "select", _select, c, frontier, r)
+            sched = _timed(phases, "schedule", _schedule, c, sel, r, done, max_total - done)
+            misses = _timed(phases, "fetch_extract", _fetch_extract, c, sched, r)
+            frontier = _commit(c, r, sel, sched, misses, cumulative, phases)
             r += 1
             if stop_after_round is not None and r > stop_after_round:
                 break
     finally:
-        if limiter_shards is not None:
-            for s in limiter_shards:
-                ray.kill(s)
+        for s in limiter_shards or ():
+            ray.kill(s)
 
-    return CrawlResult(ckpt_dir, docs_dir, r, cumulative, seen.stats())
+    return CrawlResult(ckpt_dir, c.docs_dir, r, cumulative, c.seen.stats())

@@ -23,8 +23,8 @@ value from the round's attempted hashes, read back from the checkpoint (the
 seen set's source of truth, also on resume): an add is a sorted merge, a
 recrawl invalidation a set difference with the Bloom bits rebuilt.  Adds are
 idempotent.  The whole set lives in the driver's memory; past that, stage 0
-becomes an anti-join against the checkpoint's per-round ``seen_delta`` parts
-(not implemented).
+becomes an anti-join against the url_hash column of the checkpoint's
+per-round schedule parts (not implemented).
 """
 
 from __future__ import annotations

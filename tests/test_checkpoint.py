@@ -4,26 +4,16 @@ torn file and no half-committed round."""
 import json
 import os
 
-import numpy as np
-
 
 def test_torn_counters_write_commits_nothing(tmp_path, monkeypatch):
-    import pyarrow as pa
-
     import engine.checkpoint as ckpt
     from engine.frontier import FRONTIER_SCHEMA
 
     cm = ckpt.CheckpointManager(str(tmp_path), {"test": 1})
-    sched = (
-        FRONTIER_SCHEMA.empty_table()
-        .append_column("fetch_seq", pa.array([], pa.int64()))
-        .append_column("round", pa.array([], pa.int32()))
-    )
     zeros = {k: 0 for k in ckpt.COUNTER_KEYS}
 
     def write(r):
-        cm.write_round(r, sched, FRONTIER_SCHEMA.empty_table(),
-                       np.zeros(0, np.int64), zeros, zeros)
+        cm.write_round(r, FRONTIER_SCHEMA.empty_table(), zeros, zeros)
 
     write(0)
     assert cm.latest_complete_round() == 0

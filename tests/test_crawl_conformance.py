@@ -57,6 +57,26 @@ def test_counters_match_per_round(crawl_pair):
         assert meta["parent_round"] == r - 1
 
 
+def test_one_checkpoint_layout(crawl_pair):
+    """A driver-path crawl writes the same round layout as the distributed
+    one: schedule parts under round=R/selected/, whose url_hash column is the
+    round's seen delta — no selected.parquet or seen_delta.parquet."""
+    import pyarrow.compute as pc
+
+    from engine.checkpoint import read_seen_delta, selected_files
+
+    _c, _oracle, engine = crawl_pair
+    order = engine.order_table()
+    for r in range(engine.rounds):
+        rd = os.path.join(engine.ckpt_dir, f"round={r}")
+        assert os.path.isdir(os.path.join(rd, "selected")), f"round {r}"
+        assert not os.path.exists(os.path.join(rd, "selected.parquet"))
+        assert not os.path.exists(os.path.join(rd, "seen_delta.parquet"))
+        want = order.filter(pc.equal(order["round"], r))["url_hash"].to_pylist()
+        assert bool(selected_files(engine.ckpt_dir, r)) == bool(want), f"round {r}"
+        assert read_seen_delta(engine.ckpt_dir, r).tolist() == want, f"round {r}"
+
+
 def test_extracted_text_byte_identical(crawl_pair):
     corpus_dir, oracle, engine = crawl_pair
     golden = {}
@@ -164,6 +184,31 @@ def test_resume_reproduces_uninterrupted_run(small_corpus, tmp_path):
     y = resumed.order_table().to_pylist()
     assert [(r["fetch_seq"], r["url"]) for r in x] == [(r["fetch_seq"], r["url"]) for r in y]
     assert set(full.seen_hashes().tolist()) == set(resumed.seen_hashes().tolist())
+
+
+def test_fresh_crawl_clears_earlier_rounds(small_corpus, tmp_path):
+    """resume=False starts over: rounds and docs of an earlier, longer crawl
+    into the same directory must not survive into the new crawl's docs or a
+    later resume."""
+    from engine.crawl import crawl
+    from engine.frontier import seeds_to_frontier
+
+    corpus_dir, _cfg = small_corpus
+    budget = {"max_urls_total": 60, "max_per_host_per_round": 4, "max_depth": 4, "max_rounds": 4}
+    ck = str(tmp_path / "ckpt")
+    first = crawl(corpus_dir, ck, budget)
+    assert first.rounds > 1
+
+    one = seeds_to_frontier(os.path.join(corpus_dir, "seeds.parquet")).slice(0, 1)
+    b = crawl(corpus_dir, ck, budget, resume=False, initial_frontier=one, stop_after_round=0)
+    assert b.cumulative["attempted"] == 1
+    assert b.docs_dataset().count() == 1
+    assert sorted(n for n in os.listdir(ck) if n.startswith("round=")) == ["round=0"]
+
+    resumed = crawl(corpus_dir, ck, budget)  # continues the one-url crawl
+    want = crawl(corpus_dir, str(tmp_path / "want"), budget, initial_frontier=one)
+    assert resumed.cumulative == want.cumulative
+    assert resumed.order_table().to_pylist() == want.order_table().to_pylist()
 
 
 def test_resume_refuses_config_mismatch(small_corpus, tmp_path):
@@ -294,6 +339,21 @@ def test_lazy_frontier_handoff_engages_and_matches(small_corpus, tmp_path, monke
 
     monkeypatch.setattr(crawl_mod, "_frontier_handle", spy)
 
+    # every handle is a _LazyFrontier, so the class name alone cannot prove
+    # the frontier stayed off the driver: no non-empty frontier may be read
+    # into a driver table
+    from engine.checkpoint import CheckpointManager
+
+    read_rows = []
+    orig_read = CheckpointManager.read_frontier_next
+
+    def read_spy(self, r):
+        t = orig_read(self, r)
+        read_rows.append(t.num_rows)
+        return t
+
+    monkeypatch.setattr(CheckpointManager, "read_frontier_next", read_spy)
+
     full = crawl_mod.crawl(corpus_dir, str(tmp_path / "a"), budget)
     assert "_LazyFrontier" in kinds  # the lazy path actually carried rounds
     oracle = crawl_oracle(corpus_dir, budget)
@@ -305,6 +365,7 @@ def test_lazy_frontier_handoff_engages_and_matches(small_corpus, tmp_path, monke
     assert resumed.cumulative == full.cumulative
     assert resumed.order_table().to_pylist() == full.order_table().to_pylist()
     assert set(resumed.seen_hashes().tolist()) == set(full.seen_hashes().tolist())
+    assert not any(read_rows), read_rows
 
 
 def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, monkeypatch):
@@ -312,19 +373,32 @@ def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, mo
     rank offsets) on every round and re-check full conformance: the driver
     never holds the candidate set, yet fetch_seq numbering, the seen set,
     per-round counters and the extracted text are bit-identical to the
-    sequential oracle.  Also proves the layout actually switched (schedule
-    parts in round=R/selected/, no driver-written selected.parquet) and that
-    a kill+resume THROUGH a distributed round reproduces the full run."""
+    sequential oracle.  Also proves the distributed finalize ran (a spy on
+    its task launches; schedule parts in round=R/selected/, no
+    selected.parquet) and that a kill+resume THROUGH a distributed round
+    reproduces the full run."""
     import engine.crawl as crawl_mod
     from engine.oracle import crawl_oracle
 
     monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
     monkeypatch.setattr(crawl_mod, "SMALL_SELECT_ROWS", 0)
+    # both selection paths write round=R/selected/, so the layout alone
+    # cannot prove the distributed finalize ran: count its task launches
+    finalized = []
+    remote = crawl_mod._finalize_remote
+
+    class FinalizeSpy:
+        def remote(self, *args):
+            finalized.append(args[-1])  # the part id; no block refs held
+            return remote.remote(*args)
+
+    monkeypatch.setattr(crawl_mod, "_finalize_remote", FinalizeSpy())
     corpus_dir, _cfg = small_corpus
     budget = {"max_urls_total": 150, "max_per_host_per_round": 5, "max_depth": 5, "max_rounds": 6}
     oracle = crawl_oracle(corpus_dir, budget)
     a = str(tmp_path / "ckpt_dsf")
     engine = crawl_mod.crawl(corpus_dir, a, budget)
+    assert finalized, "the remote finalize never ran"
     assert engine.cumulative == oracle["cumulative"]
     got = engine.order_table().to_pylist()
     assert [(x["fetch_seq"], x["url"]) for x in got] == [
