@@ -12,25 +12,26 @@ each step hands the driver loop one small record:
       -> select: robots + allow/deny gate, seen probe (retry bypass), in-round
          dedup, per-host top-k.  Politeness-deferred rows go straight to
          round=R/frontier_deferred/.  Returns the status counts and the
-         candidates as globally sorted blocks.  The plan is picked from
-         runtime sizes here and nowhere else:
-         frontier <= SMALL_FRONTIER_ROWS: the handle is read into a table and
-           one vectorized driver pass decides every row (zero dataset
-           executions; the round is budget-bounded);
+         candidate blocks, unsorted.  The plan is picked from runtime sizes
+         here and nowhere else:
+         frontier <= SMALL_FRONTIER_ROWS: one vectorized driver pass over the
+           handle read into a table (zero dataset executions); one block;
          larger: STAGED so decided rows never enter an all-to-all (at steady
-           state already-seen rows ARE the frontier):
+           state already-seen rows ARE the frontier), in two exchanges:
            stage 0  map_batches(robots_seen_batch) straight off the parts
                     [broadcast rules + the round's seen value, one ray.put
                     each, cached per worker]
            stage 1  survivors -> add_salt -> groupby(salt).map_groups(
                     dedup_and_salt_topk)  [url-closed groups: exact]
-           stage 2  stage-1 cands -> groupby(host).map_groups(host_topk)
-                    [bounded by N_SALT*k per host]
-           and the candidates are sorted on the driver up to
-           SMALL_SELECT_ROWS, else range-sorted as distributed blocks.
-      -> schedule: ONE finalize per sorted block (_finalize_sorted_block; in
-         process for a driver block, a Ray task per block otherwise): global
-         rank from per-block row counts, fetch_seq, budget cut (overflow ->
+           stage 2  stage-1 cands -> sort(host) -> host_topk per host
+                    [bounded by N_SALT*k per host]; its blocks, each holding
+                    whole hosts, are the candidate blocks
+           then one status count over all stages and one deferred write.
+      -> schedule: the only place the crawl order is applied.  Blocks are
+         ranked by their candidates' ORDER_COLS key range (overlaps raise),
+         rank offsets by prefix sum; then ONE finalize per block
+         (_finalize_block; in process for a driver block, a Ray task
+         otherwise): sort, fetch_seq, budget cut (overflow ->
          frontier_deferred/overflow_*), schedule part -> round=R/selected/,
          and the fetch feed as bucket-pure tables.
       -> fetch_extract: map_batches(fetch_bucket_group), an Arrow left join
@@ -53,9 +54,9 @@ once in the next round, then counted ``failed`` (the reference retries never:
 ``SharePointClient.cs:283-293``; the engine's single retry exercises the
 north-rule's ``retried`` counter).
 
-Scale notes: past the size thresholds the driver holds neither the frontier
-nor the schedule — only status counts, one row count per sorted block and
-the fetch misses; no html/text ever enters the frontier.
+Scale notes: past the size threshold the driver holds neither the frontier
+nor the schedule — only status counts, one count and key range per
+candidate block and the fetch misses; no html/text ever enters the frontier.
 """
 
 from __future__ import annotations
@@ -106,16 +107,10 @@ from .politeness import RobotsRules, UrlGate, make_rate_limiter_shard
 from .seen import SeenSet, check_many_via_handles
 from .synth import default_budget
 
-# Below this many frontier rows a round uses one exact groupby(host) for
-# dedup+politeness; above it, the salted two-stage tree (skew-bounded).
+# Up to this many frontier rows a round selects and finalizes on the driver
+# (one vectorized pass); above it, the staged distributed selection with the
+# salted two-stage tree (skew-bounded) and one finalize task per block.
 SMALL_FRONTIER_ROWS = 200_000
-
-# Below this many politeness-surviving candidates the round's ordering +
-# budget cut + fetch_seq assignment runs on the driver (one Arrow sort of a
-# budget-bounded table); above it, the schedule finalize is DISTRIBUTED — a
-# range-partitioned sort plus per-block rank offsets (zip-with-index), so the
-# driver holds one row count per block instead of the schedule itself.
-SMALL_SELECT_ROWS = 200_000
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -193,26 +188,32 @@ def _cached(kind: str, ref, build=lambda v: v):
     return hit[1]
 
 
+def _gate_status(t: pa.Table, robots: RobotsRules, gate: UrlGate, seen: np.ndarray) -> np.ndarray:
+    """Each frontier row's disposition before dedup, given its seen mask.
+    Precedence: robots > filtered > seen > cand (mirrored by the oracle);
+    rows with retry=1 bypass the seen check (they were added when first
+    attempted)."""
+    blocked = robots.blocked_many(t["host"], t["path"])
+    filt = gate.filtered_many(t["url"], t["path"])
+    retry = t["retry"].to_numpy()
+    return np.where(
+        blocked,
+        "robots",
+        np.where(filt, "filtered", np.where(seen & (retry == 0), "seen", "cand")),
+    )
+
+
 def robots_seen_batch(batch: pa.Table, robots_ref, seen_ref, gate: UrlGate) -> pa.Table:
     """Vectorized robots + allow/deny gate + seen-set anti-join (no shuffle).
 
     The broadcast-small-side pattern of the reference's allow-list semi-join
     (``SharePointClient.cs:272-275``): the rules and the round's seen value
     arrive once per worker via ``ray.get`` on ``ray.put`` handles; the gate
-    travels in the task closure; the seen probe is local.  Rows with retry=1
-    bypass the seen check (they were added when first attempted).
-    Precedence: robots > filtered > seen > cand (mirrored by the oracle).
+    travels in the task closure; the seen probe is local.
     """
     rules = _cached("rules", robots_ref, RobotsRules)
-    blocked = rules.blocked_many(batch["host"], batch["path"])
-    filt = gate.filtered_many(batch["url"], batch["path"])
     seen = check_many_via_handles(_cached("seen", seen_ref), batch["url_hash"].to_numpy())
-    retry = batch["retry"].to_numpy()
-    status = np.where(
-        blocked,
-        "robots",
-        np.where(filt, "filtered", np.where(seen & (retry == 0), "seen", "cand")),
-    )
+    status = _gate_status(batch, rules, gate, seen)
     return batch.append_column("status", pa.array(status, pa.string()))
 
 
@@ -392,23 +393,13 @@ def explode_links_batch(t: pa.Table) -> pa.Table:
 def _select_on_driver(
     frontier: pa.Table, robots: RobotsRules, gate: UrlGate, seen: SeenSet, k: int
 ) -> pa.Table:
-    """Driver-side selection for budget-bounded small rounds.
-
-    Identical semantics to the distributed branch — robots gate, in-process
-    seen probe (retry bypass), in-round dedup (min order key wins, winner inherits
-    max retry), per-host top-k — but fully vectorized in one pandas pass
-    instead of per-host group calls.
-    """
+    """Driver-side selection for budget-bounded small rounds: the distributed
+    branch's semantics — gate, in-process seen probe, in-round dedup (min
+    order key wins, winner inherits max retry), per-host top-k — in one
+    vectorized pandas pass."""
     df = frontier.to_pandas()
-    blocked = robots.blocked_many(frontier["host"], frontier["path"])
-    filt = gate.filtered_many(frontier["url"], frontier["path"])
     seen_mask = seen.check_many(df["url_hash"].to_numpy())
-    retry = df["retry"].to_numpy()
-    df["status"] = np.where(
-        blocked,
-        "robots",
-        np.where(filt, "filtered", np.where(seen_mask & (retry == 0), "seen", "cand")),
-    )
+    df["status"] = _gate_status(frontier, robots, gate, seen_mask)
     out = dedup_and_salt_topk(df, k)  # whole frontier is url-closed
     return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
@@ -424,17 +415,12 @@ def _status_partial(t: pa.Table) -> pa.Table:
     )
 
 
-def _status_counts(ds) -> dict:
-    """Distributed partial value_counts of a disposition dataset's status."""
-    df = ds.map_batches(_status_partial, batch_format="pyarrow").to_pandas()
+def _status_counts(*stages) -> dict:
+    """Distributed partial value_counts of the status of disposition
+    datasets, in one execution."""
+    parts = [s.map_batches(_status_partial, batch_format="pyarrow") for s in stages]
+    df = parts[0].union(*parts[1:]).to_pandas()
     return df.groupby("status")["n"].sum().to_dict() if len(df) else {}
-
-
-def _collect(ds) -> pa.Table:
-    batches = list(ds.iter_batches(batch_size=65536, batch_format="pyarrow"))
-    if not batches:
-        return None
-    return pa.concat_tables(batches, promote_options="default")
 
 
 def _cast_frontier_batch(t: pa.Table) -> pa.Table:
@@ -454,12 +440,24 @@ def _fresh_dir(path: str) -> str:
     return path
 
 
-@ray.remote
-def _block_nrows(tbl: pa.Table) -> int:
-    return tbl.num_rows
+def _cand_span(tbl: pa.Table) -> tuple:
+    """(candidate rows, first ORDER_COLS key, last key) of one candidate
+    block; the keys are None for a block without candidates."""
+    cand = _only("cand")(tbl).select(ORDER_COLS)
+    if not cand.num_rows:
+        return 0, None, None
+
+    def end(order: str) -> tuple:
+        i = pc.select_k_unstable(cand, 1, [(col, order) for col in ORDER_COLS])
+        return tuple(cand.take(i).to_pylist()[0].values())
+
+    return cand.num_rows, end("ascending"), end("descending")
 
 
-def _finalize_sorted_block(
+_cand_span_remote = ray.remote(_cand_span)
+
+
+def _finalize_block(
     tbl: pa.Table,
     rank0: int,
     sel_n: int,
@@ -470,10 +468,11 @@ def _finalize_sorted_block(
     selected_dir: str,
     part_id: int,
 ):
-    """The schedule finalize for ONE globally sorted candidate block.
+    """The schedule finalize for ONE candidate block.
 
-    The zip-with-index idiom: ``rank0`` is the block's global rank offset,
-    computed from per-block row counts only, so ``fetch_seq`` =
+    Keeps the block's ``cand`` rows and puts them in the crawl order.  The
+    zip-with-index idiom: ``rank0`` is the block's global rank offset,
+    computed from per-block candidate counts only, so ``fetch_seq`` =
     ``seq_offset + rank0 + arange`` numbers the round contiguously however
     the candidates were split.  The first ``sel_n`` rows are the block's
     share of the budget; the rest spill to the round's deferred parts.  The
@@ -482,8 +481,10 @@ def _finalize_sorted_block(
     so each fetch task reads exactly one pages bucket file.  The driver path
     runs it in process; the distributed path as ``_finalize_remote``.
     """
-    sel = tbl.slice(0, sel_n)
-    over = tbl.slice(sel_n)
+    cand = _only("cand")(tbl)
+    cand = cand.take(global_order_indices(cand))
+    sel = cand.slice(0, sel_n)
+    over = cand.slice(sel_n)
     if over.num_rows:
         pq.write_table(
             _cast_frontier_batch(over),
@@ -507,7 +508,7 @@ def _finalize_sorted_block(
         yield with_bucket.filter(pc.equal(with_bucket["bucket"], int(b)))
 
 
-_finalize_remote = ray.remote(num_returns="dynamic")(_finalize_sorted_block)
+_finalize_remote = ray.remote(num_returns="dynamic")(_finalize_block)
 
 
 class _LazyFrontier:
@@ -780,8 +781,10 @@ class _Crawl:
 
 class _Selection(NamedTuple):
     counts: dict  # status -> rows: robots, filtered, dup, seen, deferred
-    blocks: list  # globally sorted candidate blocks, in rank order
-    on_driver: bool  # blocks are driver tables, not object refs
+    # Disposition tables, unsorted; their cand rows are the candidates, and
+    # each block's candidates are a key range disjoint from the others'.
+    blocks: list
+    on_driver: bool  # the frontier was small: blocks are driver tables, not refs
 
 
 class _Schedule(NamedTuple):
@@ -790,14 +793,20 @@ class _Schedule(NamedTuple):
     fetch_ds: object  # bucket-pure fetch feed (Dataset), None when n_sel == 0
 
 
-_NO_MISSES = pa.table(
-    {
-        "url": pa.array([], pa.string()),
-        "fetch_seq": pa.array([], pa.int64()),
-        "retry": pa.array([], pa.int8()),
-        "status": pa.array([], pa.string()),
-    }
-)
+_NO_MISSES = pa.schema(
+    [("url", pa.string()), ("fetch_seq", pa.int64()), ("retry", pa.int8()), ("status", pa.string())]
+).empty_table()
+
+
+def _host_topk_block(t: pa.Table, k: int) -> pa.Table:
+    """Stage 2 over one block of the host sort: ``host_topk`` per host.  The
+    sort puts all of a host's rows in one block; the output keeps the block's
+    host order."""
+    df = t.to_pandas()
+    if not len(df):
+        return t
+    groups = [host_topk(g, k) for _, g in df.groupby("host", sort=False)]
+    return _disp_arrow(pd.concat(groups, ignore_index=True))
 
 
 def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
@@ -817,8 +826,7 @@ def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
                 _cast_frontier_batch(_only("deferred")(disp)),
                 os.path.join(deferred_dir, "deferred.parquet"),
             )
-        cand = _only("cand")(disp)
-        return _Selection(counts, [cand.take(global_order_indices(cand))], True)
+        return _Selection(counts, [disp], True)
 
     # Large round: the driver NEVER sees the full disposition (at 10^10 the
     # seen/dup rows ARE the frontier).  Every group is bounded by N_SALT*k
@@ -844,69 +852,62 @@ def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
             lambda df: _disp_arrow(dedup_and_salt_topk(df, k)), batch_format="pandas"
         )
     ).materialize()
-    # Stage 2: exact per-host top-k over stage-1 survivors only.
+    # Stage 2: exact per-host top-k over stage-1 survivors.  An explicit
+    # range sort, not groupby().map_groups(), which a hash shuffle strategy
+    # turns into a hash repartition: each block then holds whole hosts, its
+    # candidates are a key range disjoint from every other block's, and the
+    # blocks go to the schedule as they are.
     stage2 = (
         stage1.map_batches(_only("cand"), batch_format="pyarrow")
-        .groupby("host")
-        .map_groups(lambda df: _disp_arrow(host_topk(df, k)), batch_format="pandas")
-    ).materialize()
-    vc0, vc1, vc2 = (_status_counts(s) for s in (stage0, stage1, stage2))
-    counts = {
-        "robots": vc0.get("robots", 0),
-        "filtered": vc0.get("filtered", 0),
-        "dup": vc1.get("dup", 0),
-        "seen": vc0.get("seen", 0),
-        "deferred": vc1.get("deferred", 0) + vc2.get("deferred", 0),
-    }
-    if counts["deferred"]:
-        # deferred rows of both stages stream into the round's frontier
-        # parts — they never reach the driver
-        for src in (stage1, stage2):
-            src.map_batches(
-                lambda t: _cast_frontier_batch(_only("deferred")(t)),
-                batch_format="pyarrow",
-            ).write_parquet(deferred_dir)
-    cands = stage2.map_batches(_only("cand"), batch_format="pyarrow")
-    if vc2.get("cand", 0) > SMALL_SELECT_ROWS:
-        # too many to order on the driver: a range-partitioned sort, and the
-        # blocks stay in the object store
-        blocks = (
-            cands.map_batches(
-                _cast_frontier_batch, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .sort(ORDER_COLS)
-            .materialize()
-            .to_arrow_refs()
+        .sort("host")
+        .map_batches(
+            lambda t: _host_topk_block(t, k), batch_format="pyarrow", batch_size=None
         )
-        return _Selection(counts, blocks, False)
-    cand = _collect(cands) or _DISP_SCHEMA.empty_table()
-    return _Selection(counts, [cand.take(global_order_indices(cand))], True)
+    ).materialize()
+    # The stages' status sets are disjoint — robots/filtered/seen from stage
+    # 0, dup from stage 1, deferred from stages 1 and 2 — so one count gives
+    # every counter (the summed cand entry is unused).
+    counts = _status_counts(stage0, stage1, stage2)
+    if counts.get("deferred"):
+        # deferred rows stream into the round's frontier parts — they never
+        # reach the driver
+        stage1.union(stage2).map_batches(
+            lambda t: _cast_frontier_batch(_only("deferred")(t)), batch_format="pyarrow"
+        ).write_parquet(deferred_dir)
+    return _Selection(counts, stage2.to_arrow_refs(), False)
 
 
 def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: int) -> _Schedule:
-    """Number, budget-cut and write the round's fetch schedule.
+    """Put the round's candidates in the crawl order, then number, budget-cut
+    and write the fetch schedule.
 
-    One finalize per sorted block.  The driver holds one row count per block
-    and computes each block's rank offset by prefix sum; the budget cut is
-    the same prefix of the same total order (ORDER_COLS is unique per row)
-    whichever way the blocks were made.
+    One small call per block gives its candidate count and key range; the
+    blocks are ranked by first key, whatever order they arrive in, and each
+    block's rank offset is a prefix sum.  Then one finalize per block sorts
+    its own candidates; the budget cut is a prefix of the total order
+    (ORDER_COLS is unique per row) however the blocks were made.
     """
     selected_dir = _fresh_dir(c.round_dir(r, "selected"))
     deferred_dir = c.round_dir(r, "frontier_deferred")
     if sel.on_driver:
-        rows = [b.num_rows for b in sel.blocks]
+        spans = [_cand_span(b) for b in sel.blocks]
     else:
-        rows = ray.get([_block_nrows.remote(b) for b in sel.blocks])
-    rows = np.asarray(rows, np.int64)
+        spans = ray.get([_cand_span_remote.remote(b) for b in sel.blocks])
+    ranked = sorted(
+        ((sp, b) for sp, b in zip(spans, sel.blocks) if sp[0]), key=lambda x: x[0][1]
+    )
+    if any(a[2] >= b[1] for (a, _), (b, _) in zip(ranked, ranked[1:])):
+        raise RuntimeError("candidate blocks overlap in the crawl order")
+    rows = np.asarray([sp[0] for sp, _ in ranked], np.int64)
     starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(rows)])
     n_sel = int(min(starts[-1], remaining))
     args = [
         (b, int(starts[i]), int(np.clip(n_sel - starts[i], 0, rows[i])), seq_offset,
          r, c.n_buckets, deferred_dir, selected_dir, i)
-        for i, b in enumerate(sel.blocks)
+        for i, (_, b) in enumerate(ranked)
     ]
     if sel.on_driver:
-        parts = [t for a in args for t in _finalize_sorted_block(*a)]
+        parts = [t for a in args for t in _finalize_block(*a)]
         fetch_ds = rd.from_arrow(parts) if parts else None
     else:
         refs = [t for g in ray.get([_finalize_remote.remote(*a) for a in args]) for t in g]
@@ -955,7 +956,8 @@ def _fetch_extract(c: _Crawl, sched: _Schedule, r: int) -> pa.Table:
     docs_mat.select_columns(["fetch_seq", "depth", "priority", "links"]).map_batches(
         explode_links_batch, batch_format="pyarrow", zero_copy_batch=True
     ).write_parquet(children_dir)
-    st = _collect(docs_mat.select_columns(["url", "fetch_seq", "retry", "status"]))
+    st = docs_mat.select_columns(["url", "fetch_seq", "retry", "status"])
+    st = pa.concat_tables(list(st.iter_batches(batch_size=None, batch_format="pyarrow")))
     return _only("miss")(st)
 
 
@@ -1067,7 +1069,6 @@ def crawl(
     n_shards: int = 4,
     resume: bool = True,
     stop_after_round: int | None = None,
-    collect_markdown: bool = True,
     initial_frontier: pa.Table | None = None,
     filters: dict | None = None,
     count_only: bool = False,
@@ -1102,7 +1103,6 @@ def crawl(
         "n_buckets": n_buckets,
         "filters": filters or {},
         "count_only": count_only,
-        "collect_markdown": bool(collect_markdown),
         "docs_schema": 3,  # bump when DOCS_SCHEMA changes: stale checkpoint
         # docs must not mix schemas on resume
         "layout": 2,  # bump when the round layout changes: a resume must
@@ -1143,7 +1143,7 @@ def crawl(
         seen=SeenSet(n_shards),
         k=int(budget["max_per_host_per_round"]),
         max_depth=int(budget["max_depth"]),
-        with_markdown=collect_markdown and not count_only,
+        with_markdown=not count_only,
         limiter_shards=limiter_shards,
     )
 

@@ -18,9 +18,10 @@ files-before-folders listing order) is::
 Skew handling (SURVEY.md §7.5-§7.6.4): politeness top-k per host runs as a
 two-stage tree over a salted key —
 
-    stage 1: groupby(host, salt=url_hash % N_SALT) -> exact in-round dedup
-             (same url => same host AND same salt) + per-salt top-k
-    stage 2: groupby(host) over <= N_SALT*k survivors per host -> exact top-k
+    stage 1: groupby(salt = url_hash % N_SALT) -> exact in-round dedup
+             (same url => same salt) + per-host top-k within the salt
+    stage 2: sort(host), then per host over <= N_SALT*k survivors -> exact
+             top-k
 
 so no group ever exceeds ``N_SALT * k`` rows even for a hot host with 10^8
 candidate URLs, and the result is exactly the unsalted per-host top-k.
@@ -83,10 +84,6 @@ def child_discovery_seq(parent_fetch_seq: int, link_index: int) -> int:
     return (parent_fetch_seq + 1) * SEQ_STRIDE + min(link_index, SEQ_STRIDE - 1)
 
 
-def _order(df: pd.DataFrame) -> pd.DataFrame:
-    return df.sort_values(["depth", "priority", "discovery_seq"], kind="mergesort")
-
-
 def dedup_and_salt_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
     """Vectorized in-round dedup + per-host top-k over one group.
 
@@ -118,10 +115,10 @@ def dedup_and_salt_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def host_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Stage 2 group fn for groupby(host): exact per-host top-k over salt winners."""
+    """Stage 2 fn over one host's rows: exact per-host top-k over salt winners."""
     cand = df[df["status"] == "cand"]
     other = df[df["status"] != "cand"]
-    cand = _order(cand)
+    cand = cand.sort_values(["depth", "priority", "discovery_seq"], kind="mergesort")
     keep = cand.iloc[:k].copy()
     rest = cand.iloc[k:].copy()
     rest["status"] = "deferred"

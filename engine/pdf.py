@@ -227,18 +227,14 @@ def _unescape_pdf_bytes(raw: bytes) -> bytes:
     return bytes(out)
 
 
-def _unescape_pdf_string(raw: bytes) -> str:
-    return _unescape_pdf_bytes(raw).decode("utf-8", errors="replace")
-
-
 def _escape_pdf_string(s: str) -> bytes:
     return (
         s.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)")
     ).encode("utf-8")
 
 
-def _read_literal_string(data: bytes, i: int):
-    """data[i] == '(' -> (decoded string, index after closing paren).
+def _read_literal_string_bytes(data: bytes, i: int) -> tuple[bytes, int]:
+    """data[i] == '(' -> (unescaped BYTES, index after closing paren).
     Handles nested balanced parens and backslash escapes (ISO 32000 7.3.4.2)."""
     assert data[i : i + 1] == b"("
     depth = 0
@@ -257,7 +253,7 @@ def _read_literal_string(data: bytes, i: int):
         elif c == 0x29:
             depth -= 1
             if depth == 0:
-                return _unescape_pdf_string(bytes(raw)), j + 1
+                return _unescape_pdf_bytes(bytes(raw)), j + 1
             raw.append(c)
         else:
             raw.append(c)
@@ -265,16 +261,28 @@ def _read_literal_string(data: bytes, i: int):
     raise ValueError("unterminated PDF string")
 
 
-def _read_hex_string(data: bytes, i: int):
-    """data[i] == '<' (and data[i+1] != '<') -> (decoded string, index after
-    '>').  ISO 32000 7.3.4.3: hex pairs, whitespace ignored, odd final digit
-    padded with 0."""
+def _read_hex_string_bytes(data: bytes, i: int) -> tuple[bytes, int]:
+    """data[i] == '<' (and data[i+1] != '<') -> (BYTES, index after '>').
+    ISO 32000 7.3.4.3: hex pairs, whitespace ignored, odd final digit padded
+    with 0."""
     assert data[i : i + 1] == b"<"
     j = data.index(b">", i)
     digits = re.sub(rb"\s+", b"", data[i + 1 : j])
     if len(digits) % 2:
         digits += b"0"
-    return bytes.fromhex(digits.decode("ascii")).decode("utf-8", errors="replace"), j + 1
+    return bytes.fromhex(digits.decode("ascii")), j + 1
+
+
+def _read_literal_string(data: bytes, i: int) -> tuple[str, int]:
+    """The literal string at data[i], decoded as text."""
+    raw, j = _read_literal_string_bytes(data, i)
+    return raw.decode("utf-8", errors="replace"), j
+
+
+def _read_hex_string(data: bytes, i: int) -> tuple[str, int]:
+    """The hex string at data[i], decoded as text."""
+    raw, j = _read_hex_string_bytes(data, i)
+    return raw.decode("utf-8", errors="replace"), j
 
 
 # ---------------------------------------------------------------------------
@@ -288,42 +296,11 @@ def _read_hex_string(data: bytes, i: int):
 # ---------------------------------------------------------------------------
 
 
-def _read_literal_string_bytes(data: bytes, i: int) -> tuple[bytes, int]:
-    """data[i] == '(' -> (raw unescaped BYTES, index after closing paren) —
-    the binary twin of _read_literal_string for encrypted-string payloads."""
-    assert data[i : i + 1] == b"("
-    depth = 0
-    j = i
-    raw = bytearray()
-    while j < len(data):
-        c = data[j]
-        if c == 0x5C:
-            raw += data[j : j + 2]
-            j += 2
-            continue
-        if c == 0x28:
-            depth += 1
-            if depth > 1:
-                raw.append(c)
-        elif c == 0x29:
-            depth -= 1
-            if depth == 0:
-                return _unescape_pdf_bytes(bytes(raw)), j + 1
-            raw.append(c)
-        else:
-            raw.append(c)
-        j += 1
-    raise ValueError("unterminated PDF string")
-
-
 def _read_string_bytes(data: bytes, i: int) -> bytes:
     """The hex (``<..>``) or literal (``(..)``) string at data[i] as raw
     BYTES — file IDs and /O, /U values are binary."""
     if data[i : i + 1] == b"<":
-        digits = re.sub(rb"\s+", b"", data[i + 1 : data.index(b">", i)])
-        if len(digits) % 2:
-            digits += b"0"
-        return bytes.fromhex(digits.decode("ascii"))
+        return _read_hex_string_bytes(data, i)[0]
     return _read_literal_string_bytes(data, i)[0]
 
 

@@ -236,8 +236,8 @@ class TokenBucket:
     """Per-host token bucket honouring crawl_delay_ms (1 token per delay).
 
     Held inside a RateLimiterShard actor (state survives across batches and
-    rounds); ``acquire`` blocks until a token is available.  Deterministic
-    tests use ``now=`` injection instead of wall clock.
+    rounds).  Deterministic tests use ``now=`` injection instead of wall
+    clock.
     """
 
     def __init__(self, delay_ms: int, burst: int = 1):
@@ -262,11 +262,6 @@ class TokenBucket:
             self.tokens -= 1.0
             return True
         return False
-
-    def acquire(self, now_fn=time.monotonic, sleep_fn=time.sleep):
-        while not self.try_acquire(now_fn()):
-            wait = (1.0 - self.tokens) * self.interval
-            sleep_fn(min(wait, 0.05))
 
     def reserve(self, n: int, now: float) -> float:
         """Reserve n tokens; return seconds the caller must wait before the
@@ -309,8 +304,5 @@ def make_rate_limiter_shard():
                 b = TokenBucket(self.delays.get(host, 0), burst=self.burst)
                 self.buckets[host] = b
             return b.reserve(n, time.monotonic())
-
-        def stats(self) -> dict:
-            return {"shard_id": self.shard_id, "n_hosts": len(self.buckets)}
 
     return RateLimiterShard

@@ -138,10 +138,21 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
     from engine.oracle import crawl_oracle
 
     monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
+    # a large frontier always finalizes remotely, however few its candidates
+    finalized = []
+    remote = crawl_mod._finalize_remote
+
+    class FinalizeSpy:
+        def remote(self, *args):
+            finalized.append(args[-1])  # the part id; no block refs held
+            return remote.remote(*args)
+
+    monkeypatch.setattr(crawl_mod, "_finalize_remote", FinalizeSpy())
     corpus_dir, _cfg = small_corpus
     budget = {"max_urls_total": 150, "max_per_host_per_round": 5, "max_depth": 5, "max_rounds": 6}
     oracle = crawl_oracle(corpus_dir, budget)
     engine = crawl_mod.crawl(corpus_dir, str(tmp_path / "ckpt_dist"), budget)
+    assert finalized, "the remote finalize never ran"
     assert engine.cumulative == oracle["cumulative"]
     got = engine.order_table().to_pylist()
     assert [(r["fetch_seq"], r["url"]) for r in got] == [
@@ -369,7 +380,7 @@ def test_lazy_frontier_handoff_engages_and_matches(small_corpus, tmp_path, monke
 
 
 def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, monkeypatch):
-    """Force the DISTRIBUTED schedule finalize (sorted blocks + prefix-sum
+    """Force the DISTRIBUTED schedule finalize (key-ranked blocks + prefix-sum
     rank offsets) on every round and re-check full conformance: the driver
     never holds the candidate set, yet fetch_seq numbering, the seen set,
     per-round counters and the extracted text are bit-identical to the
@@ -381,7 +392,6 @@ def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, mo
     from engine.oracle import crawl_oracle
 
     monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
-    monkeypatch.setattr(crawl_mod, "SMALL_SELECT_ROWS", 0)
     # both selection paths write round=R/selected/, so the layout alone
     # cannot prove the distributed finalize ran: count its task launches
     finalized = []
@@ -436,6 +446,79 @@ def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, mo
     assert resumed.cumulative == engine.cumulative
     assert resumed.order_table().to_pylist() == engine.order_table().to_pylist()
     assert set(resumed.seen_hashes().tolist()) == set(engine.seen_hashes().tolist())
+
+
+def _schedule_parts(tmp, blocks, remaining):
+    """Run the schedule step on driver blocks; return its (selected rows,
+    overflow rows), each as one table in a canonical row order."""
+    from types import SimpleNamespace
+
+    import engine.crawl as crawl_mod
+
+    root = str(tmp)
+    c = SimpleNamespace(
+        n_buckets=4, round_dir=lambda r, sub: os.path.join(root, f"round={r}", sub)
+    )
+    os.makedirs(c.round_dir(0, "frontier_deferred"))
+    sel = crawl_mod._Selection({}, blocks, True)
+    sched = crawl_mod._schedule(c, sel, 0, 1000, remaining)
+
+    def read(pattern):
+        files = glob(os.path.join(root, "round=0", pattern))
+        return pa.concat_tables([pq.read_table(f) for f in files])
+
+    selected = read("selected/*.parquet").sort_by("fetch_seq")
+    overflow = read("frontier_deferred/overflow_*.parquet").sort_by("url")
+    assert sched.n_sel == selected.num_rows == remaining
+    assert sched.n_overflow == overflow.num_rows
+    return selected, overflow
+
+
+def test_schedule_orders_blocks_whatever_their_arrival(tmp_path, ray_session):
+    """The schedule alone applies the crawl order: candidates split into
+    blocks of disjoint key ranges, handed over in shuffled block order with
+    unsorted rows and non-candidate rows mixed in, give the same schedule
+    parts, fetch_seq and budget overflow as one block; blocks whose key
+    ranges overlap are refused."""
+    import random
+
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    rng = random.Random(7)
+    hosts = [f"h{i}.example.test" for i in range(6)]
+    rows = [
+        frontier_row(f"https://{h}/p{j}.html", rng.randrange(3), rng.randrange(2), 10 * i + j)
+        for i, h in enumerate(hosts)
+        for j in range(8)
+    ]
+    table = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
+    status = [rng.choice(["cand", "cand", "cand", "deferred"]) for _ in rows]
+    table = table.append_column("status", pa.array(status, pa.string()))
+
+    def block(host_ids):
+        idx = [i for i, r in enumerate(rows) if r["host"] in {hosts[h] for h in host_ids}]
+        rng.shuffle(idx)
+        return table.take(idx)
+
+    want = _schedule_parts(tmp_path / "one", [block(range(6))], remaining=25)
+    split = [block([0, 1]), block([2]), block([3, 4]), block([5])]
+    rng.shuffle(split)
+    got = _schedule_parts(tmp_path / "split", split, remaining=25)
+    assert got[0].to_pylist() == want[0].to_pylist()
+    assert got[1].to_pylist() == want[1].to_pylist()
+    assert want[0]["fetch_seq"].to_pylist() == list(range(1000, 1025))
+    # the schedule is the crawl order's prefix of the candidate rows only
+    cands = sorted(
+        (r["host"], r["depth"], r["priority"], r["discovery_seq"])
+        for r, st in zip(rows, status) if st == "cand"
+    )
+    assert [
+        (r["host"], r["depth"], r["priority"], r["discovery_seq"]) for r in want[0].to_pylist()
+    ] == cands[:25]
+    assert want[1].num_rows == len(cands) - 25
+
+    with pytest.raises(RuntimeError, match="overlap"):
+        _schedule_parts(tmp_path / "overlap", [block([0, 2]), block([1])], remaining=25)
 
 
 def test_worker_cache_stays_bounded(small_corpus, tmp_path, monkeypatch):

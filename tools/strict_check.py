@@ -1,7 +1,9 @@
 """Strict driver-protocol mirror: run every queries() entry that has an
 oracle_sql() twin at a given SF, and compare rows + schema + DTYPE-EXACT
 values the way the driver's hash does (sort columns by name, sort rows,
-then require identical dtype kind/width and bit-exact values).
+then require identical dtype kind/width and equal values: floats within an
+absolute tolerance of ATOL = 1e-9, every other value exactly equal; the
+failure examples come from the same per-row check).
 
 Usage: python tools/strict_check.py [sf_dir] [query_name ...]
 Writes /tmp/strict_check.json with per-query verdicts.
@@ -18,6 +20,8 @@ import pandas as pd
 import ray
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+ATOL = 1e-9
 
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
@@ -49,6 +53,17 @@ def _dtype_tag(s: pd.Series) -> str:
     return str(dt)
 
 
+def _same_values(av, bv) -> np.ndarray:
+    """Per-row verdict of the value check: floats within ATOL, every other
+    value exactly equal; None equals None and NaN equals NaN."""
+    if np.issubdtype(av.dtype, np.floating) or np.issubdtype(bv.dtype, np.floating):
+        return np.isclose(av.astype(float), bv.astype(float), rtol=0, atol=ATOL, equal_nan=True)
+    return np.array(
+        [bool(x == y or (x is None and y is None) or (x != x and y != y)) for x, y in zip(av, bv)],
+        dtype=bool,
+    )
+
+
 def compare(name, ray_df, sql_df):
     a, b = _normalize(ray_df), _normalize(sql_df)
     out = {"rows_match": len(a) == len(b), "schema_match": list(a.columns) == list(b.columns),
@@ -63,16 +78,14 @@ def compare(name, ray_df, sql_df):
             out["detail"].append(f"dtype {col}: engine={ta} oracle={tb}")
         av, bv = a[col].to_numpy(), b[col].to_numpy()
         try:
-            if np.issubdtype(np.asarray(av).dtype, np.floating) or np.issubdtype(np.asarray(bv).dtype, np.floating):
-                ok = np.allclose(av.astype(float), bv.astype(float), rtol=0, atol=1e-9, equal_nan=True)
-            else:
-                ok = all(x == y or (x is None and y is None) or (x != x and y != y) for x, y in zip(av, bv))
+            same = _same_values(av, bv)
         except Exception as e:  # noqa: BLE001
-            ok = False
-            out["detail"].append(f"value-cmp error {col}: {e}")
-        if not ok:
             out["value_match"] = False
-            bad = [(x, y) for x, y in zip(av, bv) if not (x == y or (x != x and y != y))][:2]
+            out["detail"].append(f"value-cmp error {col}: {e}")
+            continue
+        if not same.all():
+            out["value_match"] = False
+            bad = [(av[i], bv[i]) for i in np.flatnonzero(~same)[:2]]
             out["detail"].append(f"value {col}: e.g. {bad}")
     return out
 
