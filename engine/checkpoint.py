@@ -26,6 +26,10 @@ a round without ``_SUCCESS`` is simply re-run)::
       docs/round=R/            # the docs sink: parquet parts + _manifest.json
                                #   (per-file row counts, schema fingerprint)
 
+Each fetch feed writes one docs part and one ``frontier_children/`` part,
+both named ``part_{first fetch_seq:012d}.parquet``: feeds are disjoint, so a
+retried feed overwrites its own parts.
+
 Round R+1's frontier is exactly ``frontier_next.parquet`` plus the parts of
 ``frontier_children/`` and ``frontier_deferred/``.
 

@@ -34,16 +34,17 @@ each step hands the driver loop one small record:
          otherwise): sort, fetch_seq, budget cut (overflow ->
          frontier_deferred/overflow_*), schedule part -> round=R/selected/,
          and the fetch feed as bucket-pure tables.
-      -> fetch_extract: map_batches(fetch_bucket_group), an Arrow left join
-         against pages/bucket=K/ (one bucket file per task; optional per-host
-         rate-limiter reservations) -> map_batches(extract_batch_fn)
-         (num_cpus=2: allocation-heavy Python — see BENCH/BASELINE.md) ->
-         materialize once: docs/round=R parts + manifest, and the children
-         explode written to round=R/frontier_children/.  Returns the misses.
-      -> commit: counters, errors and retries (frontier_next.parquet), the
-         checkpoint barrier (``write_round``), then the round's seen delta —
-         the url_hash column of its schedule parts — merged into the seen
-         value.  Returns the next frontier handle.
+      -> fetch_extract: ONE execution, one map call per feed
+         (_fetch_extract_feed, num_cpus=2: allocation-heavy Python — see
+         BENCH/BASELINE.md): fetch_bucket_group, an Arrow left join against
+         pages/bucket=K/ (optional per-host rate-limiter reservations) ->
+         extract_batch_fn -> the feed's docs/round=R part and its children
+         explode part in round=R/frontier_children/; the call returns its
+         miss rows.  The driver collects them and writes the docs manifest.
+      -> commit: counters, errors and retries (frontier_next.parquet, from
+         the miss rows), the checkpoint barrier (``write_round``), then the
+         round's seen delta — the url_hash column of its schedule parts —
+         merged into the seen value.  Returns the next frontier handle.
 
 Crawl-order semantics: the fetch schedule of round R is the candidates that
 survive robots/dedup/seen/politeness, in the total order
@@ -89,6 +90,7 @@ from .checkpoint import (
     read_seen_delta,
     seen_hashes_through,
     selected_files,
+    validate_docs_output,
     write_docs_manifest,
 )
 from .extract import extract_document, parse_layout
@@ -358,8 +360,8 @@ def extract_batch_fn(batch: pa.Table, max_depth: int, with_markdown: bool = True
 def explode_links_batch(t: pa.Table) -> pa.Table:
     """Vectorized (Arrow list kernels) link -> child-candidate explode.
 
-    Runs distributed inside map_batches over the materialized docs blocks;
-    miss rows and depth-capped rows carry empty link lists, so no filter.
+    Runs on each feed's docs inside ``_fetch_extract_feed``; miss rows and
+    depth-capped rows carry empty link lists, so no filter.
     """
     links_col = t["links"].combine_chunks()
     if hasattr(links_col, "chunk"):
@@ -434,7 +436,7 @@ def _cast_frontier_batch(t: pa.Table) -> pa.Table:
 def _fresh_dir(path: str) -> str:
     """An empty directory at ``path``.  Crash-rerun safety: a round without
     ``_SUCCESS`` is re-run on resume, and the parts of the earlier attempt
-    must not survive into it (part names are unique per execution)."""
+    must not survive into it."""
     shutil.rmtree(path, ignore_errors=True)
     os.makedirs(path)
     return path
@@ -790,12 +792,13 @@ class _Selection(NamedTuple):
 class _Schedule(NamedTuple):
     n_sel: int  # rows scheduled (attempted)
     n_overflow: int  # candidates cut by the budget
-    fetch_ds: object  # bucket-pure fetch feed (Dataset), None when n_sel == 0
+    # The fetch feed (Dataset), one bucket-pure block per feed; None when
+    # n_sel == 0.
+    fetch_ds: object
 
 
-_NO_MISSES = pa.schema(
-    [("url", pa.string()), ("fetch_seq", pa.int64()), ("retry", pa.int8()), ("status", pa.string())]
-).empty_table()
+# The fetch step's miss rows: the frontier row as fetched, plus its fetch_seq.
+_NO_MISSES = pa.schema(list(FRONTIER_SCHEMA) + [pa.field("fetch_seq", pa.int64())]).empty_table()
 
 
 def _host_topk_block(t: pa.Table, k: int) -> pa.Table:
@@ -915,50 +918,45 @@ def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: in
     return _Schedule(n_sel, int(starts[-1]) - n_sel, fetch_ds)
 
 
+def _fetch_extract_feed(feed: pa.Table, pages_dir: str, limiter_shards, max_depth: int,
+                        with_markdown: bool, docs_dir: str, children_dir: str) -> pa.Table:
+    """Fetch, extract and write ONE bucket-pure feed: its docs part and its
+    children part, both named by the feed's first fetch_seq (feeds are
+    disjoint, so a retried call overwrites its own parts).  Returns the
+    feed's miss rows (``_NO_MISSES`` schema)."""
+    fetched = fetch_bucket_group(feed, pages_dir, limiter_shards)
+    docs = extract_batch_fn(fetched, max_depth, with_markdown=with_markdown)
+    name = f"part_{pc.min(feed['fetch_seq']).as_py():012d}.parquet"
+    pq.write_table(docs, os.path.join(docs_dir, name))
+    pq.write_table(explode_links_batch(docs), os.path.join(children_dir, name))
+    misses = fetched.filter(pc.is_null(fetched["html"]))
+    return misses.select(_NO_MISSES.schema.names).cast(_NO_MISSES.schema)
+
+
 def _fetch_extract(c: _Crawl, sched: _Schedule, r: int) -> pa.Table:
-    """Fetch and extract the schedule, write the round's docs and children
-    parts, and return the narrow (url, fetch_seq, retry, status) miss rows."""
-    round_docs_dir = os.path.join(c.docs_dir, f"round={r}")
-    children_dir = c.round_dir(r, "frontier_children")
-    for d in (round_docs_dir, children_dir):
-        shutil.rmtree(d, ignore_errors=True)  # crash-rerun safety
+    """Fetch and extract the schedule in one execution, one task per feed,
+    and return the round's miss rows."""
+    docs_dir = _fresh_dir(os.path.join(c.docs_dir, f"round={r}"))
+    children_dir = _fresh_dir(c.round_dir(r, "frontier_children"))
     if sched.fetch_ds is None:
         return _NO_MISSES
-    pages_dir, limiter_shards = c.pages_dir, c.limiter_shards
-    max_depth, with_markdown = c.max_depth, c.with_markdown
+    args = (c.pages_dir, c.limiter_shards, c.max_depth, c.with_markdown, docs_dir, children_dir)
     # num_cpus=2: extraction is allocation-heavy Python; measured on this
     # class of machine it scales near-linearly to ~12-16 concurrent
     # processes and then collapses (memory/page-fault contention), so each
     # task reserves 2 logical CPUs — a 32-CPU node runs 16 extract tasks at
     # its throughput plateau instead of 32 tasks past the cliff.
-    docs = sched.fetch_ds.map_batches(
-        lambda t: fetch_bucket_group(t, pages_dir, limiter_shards),
+    misses = sched.fetch_ds.map_batches(
+        lambda feed: _fetch_extract_feed(feed, *args),
         batch_format="pyarrow",
         batch_size=None,
         num_cpus=2,
-    ).map_batches(
-        lambda t: extract_batch_fn(t, max_depth, with_markdown=with_markdown),
-        batch_format="pyarrow",
-        batch_size=256,
-        num_cpus=2,
-        zero_copy_batch=True,
-    )
-    # One execution materializes the round's docs; the parquet write, the
-    # distributed children explode and the narrow status projection all
-    # reuse the materialized blocks.
-    docs_mat = docs.materialize()
-    docs_mat.write_parquet(round_docs_dir)
+    ).iter_batches(batch_size=None, batch_format="pyarrow")
+    misses = pa.concat_tables([_NO_MISSES, *misses]).sort_by("fetch_seq")
     # Sink validation (UploadResponse analog): per-file row counts + schema
     # fingerprint vs the round's fetch schedule.
-    write_docs_manifest(round_docs_dir, sched.n_sel)
-    # Children expand + write WITHOUT touching the driver: the link lists
-    # never leave the cluster, and the parts become the next frontier.
-    docs_mat.select_columns(["fetch_seq", "depth", "priority", "links"]).map_batches(
-        explode_links_batch, batch_format="pyarrow", zero_copy_batch=True
-    ).write_parquet(children_dir)
-    st = docs_mat.select_columns(["url", "fetch_seq", "retry", "status"])
-    st = pa.concat_tables(list(st.iter_batches(batch_size=None, batch_format="pyarrow")))
-    return _only("miss")(st)
+    write_docs_manifest(docs_dir, sched.n_sel)
+    return misses
 
 
 def _driver_rss_mb() -> float | None:
@@ -1002,22 +1000,12 @@ def _commit(c: _Crawl, r: int, sel: _Selection, sched: _Schedule, misses: pa.Tab
                 "reason": pa.array(reasons.astype(object), pa.string()),
             }
         )
-    # A first miss is retried once next round: its frontier row comes back
-    # from the schedule parts by filtered footer reads (misses are small).
-    retries = FRONTIER_SCHEMA.empty_table()
-    if n_retry:
-        rl = misses.filter(pc.equal(misses["retry"], 0))["url"].to_pylist()
-        retries = pa.concat_tables(
-            [
-                pq.read_table(f, columns=FRONTIER_SCHEMA.names, filters=[("url", "in", rl)])
-                for f in selected_files(c.cm.dir, r)
-            ]
-        ).cast(FRONTIER_SCHEMA)
-        retries = retries.set_column(
-            retries.schema.get_field_index("retry"),
-            "retry",
-            pa.array(np.ones(retries.num_rows, np.int8), pa.int8()),
-        )
+    # A first miss is retried once next round, from its fetched frontier row.
+    retries = misses.filter(pc.equal(misses["retry"], 0)).select(FRONTIER_SCHEMA.names)
+    retries = retries.set_column(
+        retries.schema.get_field_index("retry"), FRONTIER_SCHEMA.field("retry"),
+        pa.array(np.ones(n_retry, np.int8), pa.int8()),
+    )
     for key in COUNTER_KEYS:
         cumulative[key] = counters[key] if key == "deferred" else cumulative[key] + counters[key]
     phases["commit"] = round(time.perf_counter() - t0, 3)
@@ -1151,6 +1139,7 @@ def crawl(
     start_round = 0
     last = cm.latest_complete_round() if resume else -1
     if last >= 0:
+        validate_docs_output(c.docs_dir)  # a resume checks the docs it builds on
         start_round = last + 1
         frontier = _frontier_handle(cm, last)
         c.seen.add_many(cm.seen_hashes_through(last))

@@ -307,12 +307,15 @@ def _padded(pwd: bytes) -> bytes:
 
 
 def file_key(pwd: bytes, o_value: bytes, p: int, file_id: bytes,
-             r: int, key_bytes: int) -> bytes:
-    """Algorithm 2: the file encryption key from the (user) password."""
+             r: int, key_bytes: int, encrypt_metadata: bool = True) -> bytes:
+    """Algorithm 2: the file encryption key from the (user) password.  R4+
+    hashes four 0xff bytes more when the dict says /EncryptMetadata false."""
     h = hashlib.md5(_padded(pwd))
     h.update(o_value[:32])
     h.update(struct.pack("<i", p))
     h.update(file_id)
+    if r >= 4 and not encrypt_metadata:
+        h.update(b"\xff\xff\xff\xff")
     digest = h.digest()
     if r >= 3:
         for _ in range(50):
@@ -449,7 +452,8 @@ class StandardSecurityHandler:
                                       " for the PdfPig parity surface)")
         o = _grab_string(body, b"/O")
         u = _grab_string(body, b"/U")
-        key = file_key(b"", o, p, file_id, r, kb)
+        plain_meta = re.search(rb"/EncryptMetadata\s+false\b", body)
+        key = file_key(b"", o, p, file_id, r, kb, encrypt_metadata=not plain_meta)
         # verify the empty user password: R2 compares all 32 bytes, R3+ the
         # first 16 (ISO 32000 Algorithm 6)
         expect = compute_u(key, file_id, r)

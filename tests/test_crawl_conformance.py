@@ -232,6 +232,70 @@ def test_resume_refuses_config_mismatch(small_corpus, tmp_path):
         crawl(corpus_dir, ck, {**BUDGET, "max_urls_total": 999})
 
 
+def test_resume_checks_the_docs_it_builds_on(small_corpus, tmp_path):
+    """A resume validates the checkpoint's docs against their manifests
+    before it builds on them: a lost docs part of a complete round is
+    refused, not resumed past."""
+    from engine.crawl import crawl
+
+    corpus_dir, _cfg = small_corpus
+    ck = str(tmp_path / "ckpt")
+    crawl(corpus_dir, ck, BUDGET, stop_after_round=1)
+    os.remove(sorted(glob(os.path.join(ck, "docs", "round=0", "*.parquet")))[0])
+    with pytest.raises(ValueError, match="missing on disk"):
+        crawl(corpus_dir, ck, BUDGET)
+
+
+def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
+    """The fused fetch step on one bucket-pure feed (no Ray): one docs part
+    and one children part, named by the feed's first fetch_seq, so a second
+    (retried) call overwrites them with the same rows; the docs manifest
+    holds; the call returns exactly the dead url's feed row."""
+    import pyarrow.compute as pc
+
+    from engine.canonicalize import url_hash64
+    from engine.checkpoint import write_docs_manifest
+    from engine.crawl import _fetch_extract_feed
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    corpus_dir, cfg = small_corpus
+    dead = "https://dead.example.test/gone.html"
+    b = url_hash64(dead) % cfg.n_buckets
+    bucket_files = glob(os.path.join(corpus_dir, "pages", f"bucket={b}", "*.parquet"))
+    urls = pa.concat_tables([pq.read_table(f, columns=["url"]) for f in bucket_files])
+    urls = urls["url"].to_pylist()[:3] + [dead]
+    feed = pa.Table.from_pylist(
+        [frontier_row(u, 1, 0, i) for i, u in enumerate(urls)], schema=FRONTIER_SCHEMA
+    )
+    n = feed.num_rows
+    feed = (
+        feed.append_column("fetch_seq", pa.array(range(40, 40 + n), pa.int64()))
+        .append_column("round", pa.array([0] * n, pa.int32()))
+        .append_column("bucket", pa.array([b] * n, pa.int32()))
+    )
+    docs_dir, children_dir = str(tmp_path / "docs"), str(tmp_path / "children")
+    os.makedirs(docs_dir)
+    os.makedirs(children_dir)
+    want_miss = feed.filter(pc.equal(feed["url"], dead))
+    want_miss = want_miss.select(FRONTIER_SCHEMA.names + ["fetch_seq"]).to_pylist()
+    runs = []
+    for _ in range(2):
+        misses = _fetch_extract_feed(
+            feed, os.path.join(corpus_dir, "pages"), None, 6, True, docs_dir, children_dir
+        )
+        assert misses.to_pylist() == want_miss
+        parts = [glob(os.path.join(d, "*.parquet")) for d in (docs_dir, children_dir)]
+        assert [[os.path.basename(f) for f in p] for p in parts] == [
+            ["part_000000000040.parquet"]
+        ] * 2
+        runs.append([pq.read_table(p[0]).to_pylist() for p in parts])
+    assert runs[0] == runs[1]
+    docs, children = runs[0]
+    assert [d["status"] for d in docs] == ["hit"] * 3 + ["miss"]
+    assert children and all(ch["depth"] == 2 for ch in children)
+    assert write_docs_manifest(docs_dir, n)["ok"]
+
+
 def _write_mini_corpus(root, pages: dict, seeds: list, n_buckets: int = 4):
     """Hand-built corpus dir (pages: url -> html str; seeds: [(url, prio)])."""
     from engine.canonicalize import url_hash64

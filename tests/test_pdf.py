@@ -601,6 +601,24 @@ def test_nonempty_user_password_raises():
         StandardSecurityHandler.from_encrypt_dict(body, fid)
 
 
+def test_encrypt_metadata_false_keys_the_file():
+    """/EncryptMetadata false (R4+) adds four 0xff bytes to the key hash
+    (ISO 32000 Algorithm 2 step f); the empty user password still opens."""
+    from engine.pdfcrypt import (
+        StandardSecurityHandler, compute_o, compute_u, file_key)
+
+    fid = b"\x22" * 16
+    o = compute_o(b"owner", b"", 4, 16)
+    key = file_key(b"", o, -44, fid, 4, 16, encrypt_metadata=False)
+    assert key != file_key(b"", o, -44, fid, 4, 16)
+    u = compute_u(key, fid, 4)
+    body = (b"<< /Filter /Standard /V 4 /R 4 /Length 128"
+            b" /CF << /StdCF << /CFM /AESV2 /Length 16 >> >>"
+            b" /StmF /StdCF /StrF /StdCF /EncryptMetadata false"
+            b" /O <" + o.hex().encode() + b"> /U <" + u.hex().encode() + b"> /P -44 >>")
+    assert StandardSecurityHandler.from_encrypt_dict(body, fid).key == key
+
+
 def _octal_literal(raw: bytes, breaks: dict) -> bytes:
     """``raw`` as a PDF literal string of octal escapes, with the line
     continuation ``breaks[i]`` (backslash + EOL) inserted before byte i."""

@@ -42,3 +42,39 @@ def test_traced_arguments_keep_their_positions():
         assert key in targets, key
         params = list(inspect.signature(_resolve(*key)).parameters)
         assert params[: len(lead)] == lead, (key, params)
+
+
+def test_fetch_step_calls_the_traced_names(tmp_path, monkeypatch):
+    """The fused fetch step reaches fetch, extract and explode through the
+    module's globals, where the tracer's wrappers replace them: each layer
+    is called once per feed, so ``--trace 1`` still attributes its time."""
+    import os
+
+    import pyarrow as pa
+
+    import engine.crawl as crawl_mod
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    names = ("fetch_bucket_group", "extract_batch_fn", "explode_links_batch")
+    calls = []
+    for name in names:
+        def spy(*args, _real=getattr(crawl_mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(crawl_mod, name, spy)
+    feed = pa.Table.from_pylist(
+        [frontier_row("https://h.example.test/a.html", 0, 0, 0)], schema=FRONTIER_SCHEMA
+    )
+    feed = (
+        feed.append_column("fetch_seq", pa.array([7], pa.int64()))
+        .append_column("round", pa.array([0], pa.int32()))
+        .append_column("bucket", pa.array([0], pa.int32()))
+    )
+    dirs = [str(tmp_path / d) for d in ("docs", "children")]
+    for d in dirs:
+        os.makedirs(d)
+    # no pages directory at all: the one url misses
+    misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), None, 3, True, *dirs)
+    assert sorted(calls) == sorted(names)
+    assert misses["url"].to_pylist() == ["https://h.example.test/a.html"]
