@@ -292,13 +292,17 @@ def write_docs_manifest(round_docs_dir: str, expected_rows: int) -> dict:
 def validate_docs_output(docs_dir: str) -> dict:
     """Re-validate every round's docs directory against its manifest
     (row counts from parquet footers + schema fingerprint + _SUCCESS-style
-    ok flag).  Returns {round_dir: status}; raises on any mismatch."""
+    ok flag).  Every round directory must have a manifest, the one of a
+    round that fetched nothing too.  Returns {round_dir: status}; raises on
+    any mismatch."""
     results = {}
     for name in sorted(os.listdir(docs_dir)):
         rd = os.path.join(docs_dir, name)
         mp = os.path.join(rd, "_manifest.json")
-        if not os.path.isdir(rd) or not os.path.exists(mp):
+        if not os.path.isdir(rd):
             continue
+        if not os.path.exists(mp):
+            raise ValueError(f"docs round without a manifest: {rd}")
         with open(mp) as f:
             manifest = json.load(f)
         for fname, want_rows in manifest["files"].items():

@@ -33,14 +33,18 @@ each step hands the driver loop one small record:
          (_finalize_block; in process for a driver block, a Ray task
          otherwise): sort, fetch_seq, budget cut (overflow ->
          frontier_deferred/overflow_*), schedule part -> round=R/selected/,
-         and the fetch feed as bucket-pure tables.
-      -> fetch_extract: ONE execution, one map call per feed
-         (_fetch_extract_feed, num_cpus=2: allocation-heavy Python — see
-         BENCH/BASELINE.md): fetch_bucket_group, an Arrow left join against
-         pages/bucket=K/ (optional per-host rate-limiter reservations) ->
-         extract_batch_fn -> the feed's docs/round=R part and its children
-         explode part in round=R/frontier_children/; the call returns its
-         miss rows.  The driver collects them and writes the docs manifest.
+         and the fetch feed as bucket-pure tables, each row carrying its
+         politeness offset ``wait_s``.  The driver groups the feeds by
+         pages bucket across blocks.
+      -> fetch_extract: ONE plain Ray task per pages bucket, so at most
+         n_buckets per round (_fetch_extract_feed, num_cpus=2:
+         allocation-heavy Python — see BENCH/BASELINE.md): concat the
+         bucket's feeds, sleep until the round's fetch start plus the
+         largest ``wait_s``, fetch_bucket_group (an Arrow left join against
+         pages/bucket=K/) -> extract_batch_fn -> the bucket's docs/round=R
+         part and its children explode part in round=R/frontier_children/;
+         the task returns its miss rows.  The driver collects them and
+         writes the docs manifest, also for a round that fetches nothing.
       -> commit: counters, errors and retries (frontier_next.parquet, from
          the miss rows), the checkpoint barrier (``write_round``), then the
          round's seen delta — the url_hash column of its schedule parts —
@@ -62,14 +66,12 @@ candidate block and the fetch misses; no html/text ever enters the frontier.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
 import os
 import shutil
 import tempfile
 import time
-import uuid
 from dataclasses import dataclass, field
 from glob import glob
 from typing import NamedTuple
@@ -105,7 +107,7 @@ from .frontier import (
     host_topk,
     seeds_to_frontier,
 )
-from .politeness import RobotsRules, UrlGate, make_rate_limiter_shard
+from .politeness import RobotsRules, UrlGate
 from .seen import SeenSet, check_many_via_handles
 from .synth import default_budget
 
@@ -219,7 +221,7 @@ def robots_seen_batch(batch: pa.Table, robots_ref, seen_ref, gate: UrlGate) -> p
     return batch.append_column("status", pa.array(status, pa.string()))
 
 
-def fetch_bucket_group(group: pa.Table, pages_dir: str, limiter_shards=None) -> pa.Table:
+def fetch_bucket_group(group: pa.Table, pages_dir: str) -> pa.Table:
     """Per-bucket fetch: partitioned hash join frontier x pages on url.
 
     The analog of ``FetchFileInfoAsync`` + ``$value`` download
@@ -229,22 +231,6 @@ def fetch_bucket_group(group: pa.Table, pages_dir: str, limiter_shards=None) -> 
     html payloads never round-trip through pandas object arrays.
     """
     b = int(group["bucket"][0].as_py())
-    if limiter_shards is not None:
-        # Wall-clock politeness: reserve this batch's fetches against the
-        # per-host token buckets (state lives in the rate-limiter actors,
-        # surviving across batches and rounds), then wait out the largest
-        # reservation before "fetching".
-        counts = collections.Counter(group["host"].to_pylist())
-        n = len(limiter_shards)
-        waits = ray.get(
-            [
-                limiter_shards[url_hash64(h) % n].reserve.remote(h, c)
-                for h, c in counts.items()
-            ]
-        )
-        wait = max(waits, default=0.0)
-        if wait > 0:
-            time.sleep(wait)
     files = sorted(glob(os.path.join(pages_dir, f"bucket={b}", "*.parquet")))
     urls = group["url"].to_pylist()
     tables = [
@@ -466,6 +452,7 @@ def _finalize_block(
     seq_offset: int,
     rnd: int,
     n_buckets: int,
+    delays_ms: dict,
     deferred_dir: str,
     selected_dir: str,
     part_id: int,
@@ -479,9 +466,16 @@ def _finalize_block(
     the candidates were split.  The first ``sel_n`` rows are the block's
     share of the budget; the rest spill to the round's deferred parts.  The
     schedule part lands in ``round=R/selected/`` (its url_hash column is the
-    round's seen delta), and the fetch feed is yielded as bucket-pure tables
-    so each fetch task reads exactly one pages bucket file.  The driver path
-    runs it in process; the distributed path as ``_finalize_remote``.
+    round's seen delta).  The fetch feed follows as bucket-pure tables, so
+    each fetch task reads exactly one pages bucket file; the first value
+    yielded is their bucket ids, the small value the driver groups them by.
+
+    Politeness is a value in the feed (not in the schedule part): the j-th
+    scheduled row of host h (0-based, in the crawl order) gets ``wait_s =
+    (j+1) * delays_ms[h] / 1000``, a fresh ``TokenBucket``'s wait plus one
+    interval.  A block holds whole hosts, so j is the host's rank in the
+    round.  The driver path runs this in process; the distributed path as
+    ``_finalize_remote``.
     """
     cand = _only("cand")(tbl)
     cand = cand.take(global_order_indices(cand))
@@ -492,9 +486,10 @@ def _finalize_block(
             _cast_frontier_batch(over),
             os.path.join(deferred_dir, f"overflow_{part_id}.parquet"),
         )
-    if sel.num_rows == 0:
-        return
     n = sel.num_rows
+    if n == 0:
+        yield []
+        return
     sel = (
         _cast_frontier_batch(sel)
         .append_column(
@@ -503,11 +498,19 @@ def _finalize_block(
         .append_column("round", pa.array(np.full(n, rnd, np.int32), pa.int32()))
     )
     pq.write_table(sel, os.path.join(selected_dir, f"part_{part_id:05d}.parquet"))
-    hashes = sel["url_hash"].to_numpy()
-    buckets_np = (hashes % n_buckets).astype(np.int32)
-    with_bucket = sel.append_column("bucket", pa.array(buckets_np, pa.int32()))
-    for b in np.unique(buckets_np):
-        yield with_bucket.filter(pc.equal(with_bucket["bucket"], int(b)))
+    hosts = sel["host"].to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.r_[True, hosts[1:] != hosts[:-1]])
+    run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, n]))
+    delay_ms = np.array([delays_ms.get(h, 0) for h in hosts[starts]], np.float64)
+    wait_s = (np.arange(n) - starts[run] + 1) * delay_ms[run] / 1000.0
+    buckets = (sel["url_hash"].to_numpy() % n_buckets).astype(np.int32)
+    feed = sel.append_column("wait_s", pa.array(wait_s, pa.float64())).append_column(
+        "bucket", pa.array(buckets, pa.int32())
+    )
+    ids = np.unique(buckets).tolist()
+    yield ids
+    for b in ids:
+        yield feed.filter(pc.equal(feed["bucket"], b))
 
 
 _finalize_remote = ray.remote(num_returns="dynamic")(_finalize_block)
@@ -775,7 +778,7 @@ class _Crawl:
     k: int
     max_depth: int
     with_markdown: bool
-    limiter_shards: list | None
+    delays_ms: dict  # host -> crawl_delay_ms; empty without enforce_delays
 
     def round_dir(self, r: int, sub: str) -> str:
         return os.path.join(self.cm.dir, f"round={r}", sub)
@@ -792,9 +795,9 @@ class _Selection(NamedTuple):
 class _Schedule(NamedTuple):
     n_sel: int  # rows scheduled (attempted)
     n_overflow: int  # candidates cut by the budget
-    # The fetch feed (Dataset), one bucket-pure block per feed; None when
-    # n_sel == 0.
-    fetch_ds: object
+    # The fetch feed: per pages bucket, its feeds (driver tables or refs) in
+    # fetch_seq order.
+    feeds: list
 
 
 # The fetch step's miss rows: the frontier row as fetched, plus its fetch_seq.
@@ -904,27 +907,39 @@ def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: in
     rows = np.asarray([sp[0] for sp, _ in ranked], np.int64)
     starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(rows)])
     n_sel = int(min(starts[-1], remaining))
+    delays = c.delays_ms if sel.on_driver else ray.put(c.delays_ms)
     args = [
         (b, int(starts[i]), int(np.clip(n_sel - starts[i], 0, rows[i])), seq_offset,
-         r, c.n_buckets, deferred_dir, selected_dir, i)
+         r, c.n_buckets, delays, deferred_dir, selected_dir, i)
         for i, (_, b) in enumerate(ranked)
     ]
     if sel.on_driver:
-        parts = [t for a in args for t in _finalize_block(*a)]
-        fetch_ds = rd.from_arrow(parts) if parts else None
+        outs = [list(_finalize_block(*a)) for a in args]
+        ids = [o[0] for o in outs]
     else:
-        refs = [t for g in ray.get([_finalize_remote.remote(*a) for a in args]) for t in g]
-        fetch_ds = rd.from_arrow_refs(refs) if refs else None
-    return _Schedule(n_sel, int(starts[-1]) - n_sel, fetch_ds)
+        outs = [list(g) for g in ray.get([_finalize_remote.remote(*a) for a in args])]
+        ids = ray.get([o[0] for o in outs])
+    feeds: dict = {}
+    for bs, o in zip(ids, outs):
+        for b, feed in zip(bs, o[1:]):
+            feeds.setdefault(b, []).append(feed)
+    return _Schedule(n_sel, int(starts[-1]) - n_sel, list(feeds.values()))
 
 
-def _fetch_extract_feed(feed: pa.Table, pages_dir: str, limiter_shards, max_depth: int,
-                        with_markdown: bool, docs_dir: str, children_dir: str) -> pa.Table:
-    """Fetch, extract and write ONE bucket-pure feed: its docs part and its
-    children part, both named by the feed's first fetch_seq (feeds are
-    disjoint, so a retried call overwrites its own parts).  Returns the
-    feed's miss rows (``_NO_MISSES`` schema)."""
-    fetched = fetch_bucket_group(feed, pages_dir, limiter_shards)
+def _fetch_extract_feed(feed: pa.Table, pages_dir: str, max_depth: int, with_markdown: bool,
+                        docs_dir: str, children_dir: str, *more: pa.Table,
+                        fetch_start: float | None = None) -> pa.Table:
+    """Fetch, extract and write ONE pages bucket's feed — ``feed`` plus the
+    bucket's feeds from other blocks, ``more`` — as its docs part and its
+    children part, both named by the feed's first fetch_seq (buckets are
+    disjoint, so a re-run task overwrites its own parts).  With
+    ``fetch_start`` it first sleeps until ``fetch_start`` plus the feed's
+    largest ``wait_s``.  Returns the feed's miss rows (``_NO_MISSES``
+    schema)."""
+    feed = pa.concat_tables([feed, *more]) if more else feed
+    if fetch_start is not None:
+        time.sleep(max(0.0, fetch_start + pc.max(feed["wait_s"]).as_py() - time.time()))
+    fetched = fetch_bucket_group(feed, pages_dir)
     docs = extract_batch_fn(fetched, max_depth, with_markdown=with_markdown)
     name = f"part_{pc.min(feed['fetch_seq']).as_py():012d}.parquet"
     pq.write_table(docs, os.path.join(docs_dir, name))
@@ -933,28 +948,29 @@ def _fetch_extract_feed(feed: pa.Table, pages_dir: str, limiter_shards, max_dept
     return misses.select(_NO_MISSES.schema.names).cast(_NO_MISSES.schema)
 
 
+# num_cpus=2: extraction is allocation-heavy Python; measured on this class of
+# machine it scales near-linearly to ~12-16 concurrent processes and then
+# collapses (memory/page-fault contention), so each task reserves 2 logical
+# CPUs — a 32-CPU node runs 16 extract tasks at its throughput plateau
+# instead of 32 tasks past the cliff.
+_fetch_extract_remote = ray.remote(num_cpus=2)(_fetch_extract_feed)
+
+
 def _fetch_extract(c: _Crawl, sched: _Schedule, r: int) -> pa.Table:
-    """Fetch and extract the schedule in one execution, one task per feed,
-    and return the round's miss rows."""
+    """Fetch and extract the schedule, one plain task per pages bucket, and
+    return the round's miss rows.  The feeds are already partitioned by
+    bucket, so this is a map with no exchange: no dataset is built."""
     docs_dir = _fresh_dir(os.path.join(c.docs_dir, f"round={r}"))
     children_dir = _fresh_dir(c.round_dir(r, "frontier_children"))
-    if sched.fetch_ds is None:
-        return _NO_MISSES
-    args = (c.pages_dir, c.limiter_shards, c.max_depth, c.with_markdown, docs_dir, children_dir)
-    # num_cpus=2: extraction is allocation-heavy Python; measured on this
-    # class of machine it scales near-linearly to ~12-16 concurrent
-    # processes and then collapses (memory/page-fault contention), so each
-    # task reserves 2 logical CPUs — a 32-CPU node runs 16 extract tasks at
-    # its throughput plateau instead of 32 tasks past the cliff.
-    misses = sched.fetch_ds.map_batches(
-        lambda feed: _fetch_extract_feed(feed, *args),
-        batch_format="pyarrow",
-        batch_size=None,
-        num_cpus=2,
-    ).iter_batches(batch_size=None, batch_format="pyarrow")
+    args = (c.pages_dir, c.max_depth, c.with_markdown, docs_dir, children_dir)
+    fetch_start = time.time()
+    misses = ray.get([
+        _fetch_extract_remote.remote(feeds[0], *args, *feeds[1:], fetch_start=fetch_start)
+        for feeds in sched.feeds
+    ])
     misses = pa.concat_tables([_NO_MISSES, *misses]).sort_by("fetch_seq")
     # Sink validation (UploadResponse analog): per-file row counts + schema
-    # fingerprint vs the round's fetch schedule.
+    # fingerprint vs the round's fetch schedule; every round has a manifest.
     write_docs_manifest(docs_dir, sched.n_sel)
     return misses
 
@@ -1075,6 +1091,12 @@ def crawl(
     table — used by the steady-state bench, which starts from a
     fully-populated frontier rather than growing one by BFS.
 
+    ``enforce_delays=True`` honours the robots table's per-host
+    ``crawl_delay_ms``: host h's j-th fetch of a round (0-based) waits until
+    (j+1) delays after the round's fetch start, so a host may wait up to
+    one extra interval per round.  No politeness state crosses a round or a
+    resume: the previous round's fetches all ended before this one starts.
+
     ``seen_backend`` ("bloom", "cuckoo" or "spill") is accepted for callers
     and job configs written against the earlier actor backends; it no
     longer selects code.  Every crawl uses the one per-round seen value of
@@ -1100,24 +1122,16 @@ def crawl(
     if not resume:
         cm.clear()
 
-    limiter_shards = None
+    delays_ms = {}
     if enforce_delays:
-        # Per-host wall-clock politeness (crawl_delay_ms from the robots
-        # table) in named rate-limiter actors — bucket state survives across
-        # batches, operators and rounds.  Off by default: the sandbox "fetch"
-        # is a parquet lookup, so sleeping would only measure sleep.
+        # Per-host wall-clock politeness from the robots table's
+        # crawl_delay_ms, applied as per-row offsets in the fetch feed.  Off
+        # by default: the sandbox "fetch" is a parquet lookup, so sleeping
+        # would only measure sleep.
         rt = pq.read_table(
             os.path.join(corpus_dir, "robots.parquet"), columns=["host", "crawl_delay_ms"]
         )
-        delays = dict(zip(rt["host"].to_pylist(), rt["crawl_delay_ms"].to_pylist()))
-        shard_cls = make_rate_limiter_shard()
-        run_id = uuid.uuid4().hex[:8]
-        limiter_shards = [
-            shard_cls.options(name=f"ratelimit_{run_id}_{i}", get_if_exists=True).remote(
-                i, delays
-            )
-            for i in range(n_shards)
-        ]
+        delays_ms = dict(zip(rt["host"].to_pylist(), rt["crawl_delay_ms"].to_pylist()))
 
     robots = RobotsRules.from_parquet(os.path.join(corpus_dir, "robots.parquet"))
     c = _Crawl(
@@ -1132,14 +1146,19 @@ def crawl(
         k=int(budget["max_per_host_per_round"]),
         max_depth=int(budget["max_depth"]),
         with_markdown=not count_only,
-        limiter_shards=limiter_shards,
+        delays_ms=delays_ms,
     )
 
     cumulative = {k: 0 for k in COUNTER_KEYS}
     start_round = 0
     last = cm.latest_complete_round() if resume else -1
     if last >= 0:
-        validate_docs_output(c.docs_dir)  # a resume checks the docs it builds on
+        # docs past the last complete round are the interrupted round's,
+        # which runs again; a resume checks the docs it builds on
+        for d in glob(os.path.join(c.docs_dir, "round=*")):
+            if int(d.rsplit("=", 1)[1]) > last:
+                shutil.rmtree(d)
+        validate_docs_output(c.docs_dir)
         start_round = last + 1
         frontier = _frontier_handle(cm, last)
         c.seen.add_many(cm.seen_hashes_through(last))
@@ -1161,19 +1180,15 @@ def crawl(
     max_total = int(budget["max_urls_total"])
 
     r = start_round
-    try:
-        while r < max_rounds and frontier.num_rows and cumulative["attempted"] < max_total:
-            done = cumulative["attempted"]
-            phases = {}
-            sel = _timed(phases, "select", _select, c, frontier, r)
-            sched = _timed(phases, "schedule", _schedule, c, sel, r, done, max_total - done)
-            misses = _timed(phases, "fetch_extract", _fetch_extract, c, sched, r)
-            frontier = _commit(c, r, sel, sched, misses, cumulative, phases)
-            r += 1
-            if stop_after_round is not None and r > stop_after_round:
-                break
-    finally:
-        for s in limiter_shards or ():
-            ray.kill(s)
+    while r < max_rounds and frontier.num_rows and cumulative["attempted"] < max_total:
+        done = cumulative["attempted"]
+        phases = {}
+        sel = _timed(phases, "select", _select, c, frontier, r)
+        sched = _timed(phases, "schedule", _schedule, c, sel, r, done, max_total - done)
+        misses = _timed(phases, "fetch_extract", _fetch_extract, c, sched, r)
+        frontier = _commit(c, r, sel, sched, misses, cumulative, phases)
+        r += 1
+        if stop_after_round is not None and r > stop_after_round:
+            break
 
     return CrawlResult(ckpt_dir, c.docs_dir, r, cumulative, c.seen.stats())

@@ -10,14 +10,16 @@ explicit:
   same broadcast-small-side pattern as the reference's allow-list).
 - per-host round budget ``max_per_host_per_round`` — the BSP analog of
   one-request-at-a-time (enforced in ``engine.frontier``).
-- ``TokenBucket``: a wall-clock per-host rate limiter honouring
-  ``crawl_delay_ms`` for real deployments; disabled in tests/bench (the
-  sandbox "fetch" is a parquet lookup, so sleeping would only measure sleep).
+- wall-clock politeness (``crawl(enforce_delays=True)``) honouring
+  ``crawl_delay_ms`` as a value, not a service: the schedule gives host h's
+  j-th fetch of a round the offset ``(j+1) * crawl_delay_ms / 1000`` from the
+  round's fetch start (``engine.crawl._finalize_block``), and each fetch
+  task sleeps until its largest offset.  ``TokenBucket`` is the reference
+  that offset is tested against.  Off in tests/bench (the sandbox "fetch"
+  is a parquet lookup, so sleeping would only measure sleep).
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pandas as pd
@@ -235,9 +237,10 @@ def read_allowlist_file(path: str) -> list:
 class TokenBucket:
     """Per-host token bucket honouring crawl_delay_ms (1 token per delay).
 
-    Held inside a RateLimiterShard actor (state survives across batches and
-    rounds).  Deterministic tests use ``now=`` injection instead of wall
-    clock.
+    The reference arithmetic for the crawl's per-row politeness offsets: a
+    fresh bucket's wait for host h's (j+1)-th request, plus one interval, is
+    the offset the schedule assigns (``tests/test_politeness.py``).  Time
+    is injected (``now=``), never read from the wall clock.
     """
 
     def __init__(self, delay_ms: int, burst: int = 1):
@@ -265,8 +268,8 @@ class TokenBucket:
 
     def reserve(self, n: int, now: float) -> float:
         """Reserve n tokens; return seconds the caller must wait before the
-        LAST reserved request may fire.  Non-blocking (actor-friendly): the
-        bucket's clock advances by the reservation, the caller sleeps."""
+        LAST reserved request may fire.  Non-blocking: the bucket's clock
+        advances by the reservation, the caller sleeps."""
         self._refill(now)
         deficit = n - self.tokens
         self.tokens -= n  # may go negative: future tokens are spoken for
@@ -274,35 +277,3 @@ class TokenBucket:
             return 0.0
         return deficit * self.interval
 
-
-def make_rate_limiter_shard():
-    """Factory for the RateLimiterShard actor class (imported lazily so this
-    module stays importable without Ray).
-
-    One shard owns the token buckets for the hosts with
-    ``hash(host) % n_shards == shard_id`` — the per-host rate-limiter state
-    that must survive across batches, map operators, and rounds lives in
-    these named actors, not in task closures (north-rule requirement; the
-    analog of the reference's single persistent HttpClient session,
-    ``SharePointClient.cs:41,95-119``, generalized to one virtual session
-    per host).
-    """
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class RateLimiterShard:
-        def __init__(self, shard_id: int, delays_ms: dict, burst: int = 1):
-            self.shard_id = shard_id
-            self.delays = delays_ms
-            self.burst = burst
-            self.buckets: dict = {}
-
-        def reserve(self, host: str, n: int) -> float:
-            """Reserve n fetches against host's bucket; returns wait seconds."""
-            b = self.buckets.get(host)
-            if b is None:
-                b = TokenBucket(self.delays.get(host, 0), burst=self.burst)
-                self.buckets[host] = b
-            return b.reserve(n, time.monotonic())
-
-    return RateLimiterShard

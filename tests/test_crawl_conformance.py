@@ -8,6 +8,7 @@ per url — plus counters and deterministic resume from checkpoint.
 import json
 import os
 import shutil
+from collections import Counter
 from glob import glob
 
 import pyarrow as pa
@@ -135,6 +136,7 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
     large-frontier path to the same oracle.)
     """
     import engine.crawl as crawl_mod
+    from engine.checkpoint import read_seen_delta
     from engine.oracle import crawl_oracle
 
     monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
@@ -148,11 +150,27 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
             return remote.remote(*args)
 
     monkeypatch.setattr(crawl_mod, "_finalize_remote", FinalizeSpy())
-    corpus_dir, _cfg = small_corpus
+    # the fetch step merges each bucket's feeds across blocks: one task per
+    # pages bucket the round fetches, so at most n_buckets
+    launched = Counter()
+    fetch_remote = crawl_mod._fetch_extract_remote
+
+    class FetchSpy:
+        def remote(self, *args, **kwargs):
+            launched[args[4]] += 1  # the round's docs dir
+            return fetch_remote.remote(*args, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "_fetch_extract_remote", FetchSpy())
+    corpus_dir, cfg = small_corpus
     budget = {"max_urls_total": 150, "max_per_host_per_round": 5, "max_depth": 5, "max_rounds": 6}
     oracle = crawl_oracle(corpus_dir, budget)
-    engine = crawl_mod.crawl(corpus_dir, str(tmp_path / "ckpt_dist"), budget)
+    ck = str(tmp_path / "ckpt_dist")
+    engine = crawl_mod.crawl(corpus_dir, ck, budget)
     assert finalized, "the remote finalize never ran"
+    assert launched and max(launched.values()) <= cfg.n_buckets, launched
+    for r in range(engine.rounds):
+        buckets = set((read_seen_delta(ck, r) % cfg.n_buckets).tolist())
+        assert launched[os.path.join(ck, "docs", f"round={r}")] == len(buckets), r
     assert engine.cumulative == oracle["cumulative"]
     got = engine.order_table().to_pylist()
     assert [(r["fetch_seq"], r["url"]) for r in got] == [
@@ -246,6 +264,88 @@ def test_resume_checks_the_docs_it_builds_on(small_corpus, tmp_path):
         crawl(corpus_dir, ck, BUDGET)
 
 
+def test_resume_requires_every_docs_manifest(small_corpus, tmp_path):
+    """A complete round whose docs manifest and one part were lost is
+    refused on resume: a docs round without a manifest does not pass."""
+    from engine.crawl import crawl
+
+    corpus_dir, _cfg = small_corpus
+    ck = str(tmp_path / "ckpt")
+    crawl(corpus_dir, ck, BUDGET, stop_after_round=1)
+    os.remove(os.path.join(ck, "docs", "round=0", "_manifest.json"))
+    os.remove(sorted(glob(os.path.join(ck, "docs", "round=0", "*.parquet")))[0])
+    with pytest.raises(ValueError, match="without a manifest"):
+        crawl(corpus_dir, ck, BUDGET)
+
+
+def test_resume_drops_the_interrupted_rounds_docs(crawl_pair, tmp_path):
+    """Docs left by the interrupted round (past the last complete one, no
+    manifest) do not block a resume: the round runs again from scratch and
+    the crawl still matches the oracle."""
+    from engine.checkpoint import validate_docs_output
+    from engine.crawl import crawl
+
+    corpus_dir, oracle, _engine = crawl_pair
+    ck = str(tmp_path / "ckpt")
+    crawl(corpus_dir, ck, BUDGET, stop_after_round=1)
+    leftover = os.path.join(ck, "docs", "round=2")
+    os.makedirs(leftover)
+    stray = os.path.join(leftover, "part_999999999999.parquet")
+    shutil.copy(sorted(glob(os.path.join(ck, "docs", "round=1", "*.parquet")))[0], stray)
+    resumed = crawl(corpus_dir, ck, BUDGET)
+    assert not os.path.exists(stray)
+    assert resumed.cumulative == oracle["cumulative"]
+    assert [(r["fetch_seq"], r["url"]) for r in resumed.order_table().to_pylist()] == [
+        (r["fetch_seq"], r["url"]) for r in oracle["order"]
+    ]
+    assert set(resumed.seen_hashes().tolist()) == oracle["seen_hashes"]
+    assert len(validate_docs_output(resumed.docs_dir)) == resumed.rounds
+
+
+def test_rerun_fetch_task_overwrites_its_parts(crawl_pair, small_corpus, tmp_path, monkeypatch):
+    """A fetch task that dies after writing its parts is re-run by Ray; the
+    re-run overwrites the same parts instead of adding to them, so the crawl
+    matches the oracle, the docs manifests hold and each round has one docs
+    part and one children part per pages bucket it fetched."""
+    import ray
+
+    import engine.crawl as crawl_mod
+    from engine.checkpoint import read_seen_delta, validate_docs_output
+
+    corpus_dir, oracle, _engine = crawl_pair
+    n_buckets = small_corpus[1].n_buckets
+    marker = str(tmp_path / "died")
+
+    def dies_once(*args, **kwargs):
+        import os
+
+        import engine.crawl
+
+        out = engine.crawl._fetch_extract_feed(*args, **kwargs)
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return out
+        os._exit(1)  # the first task dies once its parts are on disk
+
+    monkeypatch.setattr(
+        crawl_mod, "_fetch_extract_remote", ray.remote(max_retries=1)(dies_once)
+    )
+    ck = str(tmp_path / "ckpt")
+    engine = crawl_mod.crawl(corpus_dir, ck, BUDGET)
+    assert os.path.exists(marker), "no fetch task died"
+    assert engine.cumulative == oracle["cumulative"]
+    assert [(r["fetch_seq"], r["url"]) for r in engine.order_table().to_pylist()] == [
+        (r["fetch_seq"], r["url"]) for r in oracle["order"]
+    ]
+    validate_docs_output(engine.docs_dir)
+    for r in range(engine.rounds):
+        buckets = set((read_seen_delta(ck, r) % n_buckets).tolist())
+        for d in (os.path.join(ck, "docs", f"round={r}"),
+                  os.path.join(ck, f"round={r}", "frontier_children")):
+            assert len(glob(os.path.join(d, "*.parquet"))) == len(buckets), (r, d)
+
+
 def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     """The fused fetch step on one bucket-pure feed (no Ray): one docs part
     and one children part, named by the feed's first fetch_seq, so a second
@@ -281,7 +381,7 @@ def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     runs = []
     for _ in range(2):
         misses = _fetch_extract_feed(
-            feed, os.path.join(corpus_dir, "pages"), None, 6, True, docs_dir, children_dir
+            feed, os.path.join(corpus_dir, "pages"), 6, True, docs_dir, children_dir
         )
         assert misses.to_pylist() == want_miss
         parts = [glob(os.path.join(d, "*.parquet")) for d in (docs_dir, children_dir)]
@@ -521,7 +621,8 @@ def _schedule_parts(tmp, blocks, remaining):
 
     root = str(tmp)
     c = SimpleNamespace(
-        n_buckets=4, round_dir=lambda r, sub: os.path.join(root, f"round={r}", sub)
+        n_buckets=4, delays_ms={},
+        round_dir=lambda r, sub: os.path.join(root, f"round={r}", sub),
     )
     os.makedirs(c.round_dir(0, "frontier_deferred"))
     sel = crawl_mod._Selection({}, blocks, True)
@@ -534,6 +635,9 @@ def _schedule_parts(tmp, blocks, remaining):
     selected = read("selected/*.parquet").sort_by("fetch_seq")
     overflow = read("frontier_deferred/overflow_*.parquet").sort_by("url")
     assert sched.n_sel == selected.num_rows == remaining
+    # the feeds are merged per pages bucket across blocks
+    buckets = (selected["url_hash"].to_numpy() % c.n_buckets).tolist()
+    assert len(sched.feeds) == len(set(buckets))
     assert sched.n_overflow == overflow.num_rows
     return selected, overflow
 

@@ -72,3 +72,50 @@ def test_rate_limited_crawl_slower_but_identical(small_corpus, tmp_path):
     # the corpus assigns every host >=100ms crawl delay; with ~8 fetches on
     # the busiest host the enforced run must have slept a noticeable amount
     assert elapsed > 0.5
+
+
+def test_politeness_offset_is_a_token_bucket_wait(tmp_path):
+    """The schedule's per-row politeness offset: host h's j-th scheduled row
+    (0-based, crawl order) waits what a fresh TokenBucket gives its (j+1)-th
+    request plus one interval.  No delay gives no offset, and the offset
+    rides in the fetch feed only, not in the schedule part."""
+    import os
+    import random
+    from glob import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from engine.crawl import _finalize_block
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    rng = random.Random(3)
+    hosts = ["a.test", "b.test", "c.test", "d.test"]
+    rows = [
+        frontier_row(f"https://{h}/p{j}.html", rng.randrange(3), rng.randrange(2), 10 * i + j)
+        for i, h in enumerate(hosts)
+        for j in range(6)
+    ]
+    rng.shuffle(rows)
+    tbl = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
+    tbl = tbl.append_column("status", pa.array(["cand"] * len(rows), pa.string()))
+    sel_n = len(rows) - 3  # the budget cut: offsets count scheduled rows only
+    for name, delays in (("delays", {"a.test": 100, "b.test": 250, "c.test": 0}), ("none", {})):
+        deferred, selected = (str(tmp_path / name / d) for d in ("deferred", "selected"))
+        os.makedirs(deferred)
+        os.makedirs(selected)
+        ids, *feeds = _finalize_block(tbl, 0, sel_n, 100, 0, 4, delays, deferred, selected, 0)
+        assert len(ids) == len(feeds)
+        feed = pa.concat_tables(feeds).sort_by("fetch_seq").to_pylist()
+        assert len(feed) == sel_n
+        j: dict = {}
+        for row in feed:
+            j[row["host"]] = j.get(row["host"], -1) + 1
+            d = delays.get(row["host"], 0)
+            want = TokenBucket(d).reserve(j[row["host"]] + 1, 0.0) + d / 1000
+            assert row["wait_s"] == pytest.approx(want), row
+            if not d:
+                assert row["wait_s"] == 0.0
+        assert max(j.values()) >= 4
+        (part,) = glob(os.path.join(selected, "*.parquet"))
+        assert "wait_s" not in pq.read_schema(part).names

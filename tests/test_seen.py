@@ -114,11 +114,13 @@ def test_value_handed_out_is_unaffected_by_later_adds(seen_set):
     assert not before[0].keys.flags.writeable and not before[0].bloom.flags.writeable
 
 
-def test_crawl_starts_no_actors(small_corpus, tmp_path, ray_session):
-    """With enforce_delays=False a crawl creates no Ray actor: the seen set
-    is a value in the driver, not a set of shard actors.  The GCS actor
-    table keeps dead actors, so actors started and killed inside the crawl
-    still show up."""
+@pytest.mark.parametrize("enforce_delays", [False, True])
+def test_crawl_starts_no_actors(small_corpus, tmp_path, ray_session, enforce_delays):
+    """A crawl creates no Ray actor: the seen set is a value in the driver,
+    not a set of shard actors, and politeness is a per-row offset in the
+    fetch feed, not a set of rate-limiter actors.  The GCS actor table keeps
+    dead actors, so actors started and killed inside the crawl still show
+    up."""
     from ray._private import state
 
     from engine.crawl import crawl
@@ -128,7 +130,7 @@ def test_crawl_starts_no_actors(small_corpus, tmp_path, ray_session):
     # a first crawl starts whatever session-wide helpers Ray Data needs
     crawl(corpus_dir, str(tmp_path / "warm"), budget)
     before = set(state.actors())
-    res = crawl(corpus_dir, str(tmp_path / "ckpt"), budget)
+    res = crawl(corpus_dir, str(tmp_path / "ckpt"), budget, enforce_delays=enforce_delays)
     assert res.rounds >= 2
     new = {k: v for k, v in state.actors().items() if k not in before}
     assert not new, [v.get("ActorClassName") for v in new.values()]

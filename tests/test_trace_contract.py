@@ -75,6 +75,6 @@ def test_fetch_step_calls_the_traced_names(tmp_path, monkeypatch):
     for d in dirs:
         os.makedirs(d)
     # no pages directory at all: the one url misses
-    misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), None, 3, True, *dirs)
+    misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), 3, True, *dirs)
     assert sorted(calls) == sorted(names)
     assert misses["url"].to_pylist() == ["https://h.example.test/a.html"]
