@@ -18,8 +18,9 @@ a round without ``_SUCCESS`` is simply re-run)::
                                #   column is the round's seen delta
         frontier_next.parquet  # fetch-miss retries entering round R+1
         frontier_children/     # parquet parts: links exploded from the docs
-        frontier_deferred/     # parquet parts: politeness-deferred rows and
-                               #   budget overflow (overflow_*.parquet)
+        frontier_deferred/     # parquet parts: politeness-deferred rows
+                               #   (deferred_*: one per closed selection
+                               #   block) and budget overflow (overflow_*)
         errors.parquet         # fetch misses as rows (when any)
         counters.json          # round + cumulative counters, lineage, phases
         _SUCCESS

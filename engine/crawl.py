@@ -10,10 +10,11 @@ each step hands the driver loop one small record:
       invalidations); narrow columns only —
       (url, host, path, depth, priority, discovery_seq, retry, url_hash)
       -> select: robots + allow/deny gate, seen probe (retry bypass), in-round
-         dedup, per-host top-k.  Politeness-deferred rows go straight to
-         round=R/frontier_deferred/.  Returns the status counts and the
-         candidate blocks, unsorted.  The plan is picked from runtime sizes
-         here and nowhere else:
+         dedup and per-host top-k by ONE group function (dedup_and_salt_topk);
+         then ONE close per disposition block (_close_block) writes its
+         politeness-deferred rows to round=R/frontier_deferred/ and returns
+         its status counts.  It returns the counts and the unsorted candidate
+         blocks.  The plan is picked from runtime sizes here and nowhere else:
          frontier <= SMALL_FRONTIER_ROWS: one vectorized driver pass over the
            handle read into a table (zero dataset executions); one block;
          larger: STAGED so decided rows never enter an all-to-all (at steady
@@ -23,10 +24,11 @@ each step hands the driver loop one small record:
                     each, cached per worker]
            stage 1  survivors -> add_salt -> groupby(salt).map_groups(
                     dedup_and_salt_topk)  [url-closed groups: exact]
-           stage 2  stage-1 cands -> sort(host) -> host_topk per host
-                    [bounded by N_SALT*k per host]; its blocks, each holding
-                    whole hosts, are the candidate blocks
-           then one status count over all stages and one deferred write.
+           stage 2  stage-1 cands -> sort(host) -> dedup_and_salt_topk per
+                    block [whole hosts of distinct urls, bounded by N_SALT*k
+                    per host]; its blocks are the candidate blocks
+           close    one map_batches(_close_block) over all three stages,
+                    the fourth and last execution.
       -> schedule: the only place the crawl order is applied.  Blocks are
          ranked by their candidates' ORDER_COLS key range (overlaps raise),
          rank offsets by prefix sum; then ONE finalize per block
@@ -39,12 +41,13 @@ each step hands the driver loop one small record:
       -> fetch_extract: ONE plain Ray task per pages bucket, so at most
          n_buckets per round (_fetch_extract_feed, num_cpus=2:
          allocation-heavy Python — see BENCH/BASELINE.md): concat the
-         bucket's feeds, sleep until the round's fetch start plus the
-         largest ``wait_s``, fetch_bucket_group (an Arrow left join against
-         pages/bucket=K/) -> extract_batch_fn -> the bucket's docs/round=R
-         part and its children explode part in round=R/frontier_children/;
-         the task returns its miss rows.  The driver collects them and
-         writes the docs manifest, also for a round that fetches nothing.
+         bucket's feeds, fetch_bucket_group (an Arrow left join against
+         pages/bucket=K/) once per distinct ``wait_s``, each group after its
+         offset from the round's fetch start -> extract_batch_fn -> the
+         bucket's docs/round=R part and its children explode part in
+         round=R/frontier_children/; the task returns its miss rows.  The
+         driver collects them and writes the docs manifest, also for a round
+         that fetches nothing.
       -> commit: counters, errors and retries (frontier_next.parquet, from
          the miss rows), the checkpoint barrier (``write_round``), then the
          round's seen delta — the url_hash column of its schedule parts —
@@ -104,7 +107,6 @@ from .frontier import (
     add_salt,
     dedup_and_salt_topk,
     global_order_indices,
-    host_topk,
     seeds_to_frontier,
 )
 from .politeness import RobotsRules, UrlGate
@@ -115,6 +117,9 @@ from .synth import default_budget
 # (one vectorized pass); above it, the staged distributed selection with the
 # salted two-stage tree (skew-bounded) and one finalize task per block.
 SMALL_FRONTIER_ROWS = 200_000
+
+# Hash shards of the seen value (each with its own Bloom bits).
+SEEN_SHARDS = 4
 
 DOCS_SCHEMA = pa.schema(
     [
@@ -350,12 +355,6 @@ def explode_links_batch(t: pa.Table) -> pa.Table:
     depth-capped rows carry empty link lists, so no filter.
     """
     links_col = t["links"].combine_chunks()
-    if hasattr(links_col, "chunk"):
-        links_col = (
-            links_col.chunk(0)
-            if links_col.num_chunks
-            else pa.array([], t.schema.field("links").type)
-        )
     flat = pc.list_flatten(links_col)
     parent = pc.list_parent_indices(links_col).to_numpy()
     if not len(parent):
@@ -396,27 +395,33 @@ def _only(status: str):
     return lambda t: t.filter(pc.equal(t["status"], status))
 
 
-def _status_partial(t: pa.Table) -> pa.Table:
-    svc = pc.value_counts(t["status"])
-    return pa.table(
-        {"status": svc.field("values"), "n": pc.cast(svc.field("counts"), pa.int64())}
-    )
-
-
-def _status_counts(*stages) -> dict:
-    """Distributed partial value_counts of the status of disposition
-    datasets, in one execution."""
-    parts = [s.map_batches(_status_partial, batch_format="pyarrow") for s in stages]
-    df = parts[0].union(*parts[1:]).to_pandas()
-    return df.groupby("status")["n"].sum().to_dict() if len(df) else {}
-
-
 def _cast_frontier_batch(t: pa.Table) -> pa.Table:
     return (
         t.select(FRONTIER_SCHEMA.names)
         .cast(FRONTIER_SCHEMA)
         .replace_schema_metadata(None)
     )
+
+
+def _close_block(t: pa.Table, deferred_dir: str) -> pa.Table:
+    """The selection's close for ONE disposition block: write its
+    politeness-deferred rows as one part of the round's next frontier, named
+    by their smallest url_hash, and return its status counts as (status, n)
+    rows.  Deferred rows are dedup winners, so their url_hashes are distinct
+    across the round: part names are unique, and a re-run close overwrites
+    its own part."""
+    deferred = _only("deferred")(t)
+    if deferred.num_rows:
+        name = f"deferred_{pc.min(deferred['url_hash']).as_py():019d}.parquet"
+        pq.write_table(_cast_frontier_batch(deferred), os.path.join(deferred_dir, name))
+    vc = pc.value_counts(t["status"])
+    return pa.table({"status": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
+
+
+def _sum_counts(counts: pa.Table) -> dict:
+    """status -> rows from the (status, n) rows of one or more closes."""
+    summed = counts.group_by("status").aggregate([("n", "sum")])
+    return dict(zip(summed["status"].to_pylist(), summed["n_sum"].to_pylist()))
 
 
 def _fresh_dir(path: str) -> str:
@@ -804,41 +809,28 @@ class _Schedule(NamedTuple):
 _NO_MISSES = pa.schema(list(FRONTIER_SCHEMA) + [pa.field("fetch_seq", pa.int64())]).empty_table()
 
 
-def _host_topk_block(t: pa.Table, k: int) -> pa.Table:
-    """Stage 2 over one block of the host sort: ``host_topk`` per host.  The
-    sort puts all of a host's rows in one block; the output keeps the block's
-    host order."""
-    df = t.to_pandas()
-    if not len(df):
-        return t
-    groups = [host_topk(g, k) for _, g in df.groupby("host", sort=False)]
-    return _disp_arrow(pd.concat(groups, ignore_index=True))
-
-
 def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
-    """Gate, seen probe, dedup and politeness over the round's frontier."""
+    """Gate, seen probe, dedup and politeness over the round's frontier, then
+    the close: each disposition block's deferred part and status counts."""
     deferred_dir = _fresh_dir(c.round_dir(r, "frontier_deferred"))
     if frontier.num_rows <= SMALL_FRONTIER_ROWS:
         # Small round: the whole selection runs on the driver — the rules
-        # and the seen value are local, and the SAME group functions run in
-        # pandas.  The frontier here is bounded, and a distributed selection
-        # would spend more on two all-to-alls than the round's total compute.
+        # and the seen value are local, and the SAME group function and
+        # close run in process.  The frontier here is bounded, and a
+        # distributed selection would spend more on two all-to-alls than the
+        # round's total compute.
         disp = _select_on_driver(frontier.to_table(), c.robots, c.gate, c.seen, c.k)
-        counts = {
-            d["values"]: d["counts"] for d in pc.value_counts(disp["status"]).to_pylist()
-        }
-        if counts.get("deferred"):
-            pq.write_table(
-                _cast_frontier_batch(_only("deferred")(disp)),
-                os.path.join(deferred_dir, "deferred.parquet"),
-            )
-        return _Selection(counts, [disp], True)
+        return _Selection(_sum_counts(_close_block(disp, deferred_dir)), [disp], True)
 
     # Large round: the driver NEVER sees the full disposition (at 10^10 the
     # seen/dup rows ARE the frontier).  Every group is bounded by N_SALT*k
     # rows even for a hot host (SURVEY.md §7.6.4).
     robots_ref, gate, k = c.robots_ref, c.gate, c.k
     seen_ref = ray.put(c.seen.shards)
+
+    def group(df: pd.DataFrame) -> pa.Table:
+        return _disp_arrow(dedup_and_salt_topk(df, k))
+
     # Stage 0 (map-only, NO shuffle): robots + gate + seen, straight off the
     # checkpoint's parts.  At steady state most rows die here, and decided
     # rows never enter an all-to-all.
@@ -854,32 +846,29 @@ def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
         stage0.map_batches(_only("cand"), batch_format="pyarrow")
         .map_batches(add_salt, batch_format="pyarrow")
         .groupby("salt")
-        .map_groups(
-            lambda df: _disp_arrow(dedup_and_salt_topk(df, k)), batch_format="pandas"
-        )
+        .map_groups(group, batch_format="pandas")
     ).materialize()
-    # Stage 2: exact per-host top-k over stage-1 survivors.  An explicit
-    # range sort, not groupby().map_groups(), which a hash shuffle strategy
-    # turns into a hash repartition: each block then holds whole hosts, its
-    # candidates are a key range disjoint from every other block's, and the
-    # blocks go to the schedule as they are.
+    # Stage 2: exact per-host top-k over stage-1 survivors, with the same
+    # group function.  An explicit range sort, not groupby().map_groups(),
+    # which a hash shuffle strategy turns into a hash repartition: each
+    # block then holds whole hosts, its candidates are a key range disjoint
+    # from every other block's, and the blocks go to the schedule as they
+    # are.  Stage-1 survivors are distinct urls, so the group's dedup finds
+    # nothing and its per-host rank is the exact top-k.
     stage2 = (
         stage1.map_batches(_only("cand"), batch_format="pyarrow")
         .sort("host")
-        .map_batches(
-            lambda t: _host_topk_block(t, k), batch_format="pyarrow", batch_size=None
-        )
+        .map_batches(group, batch_format="pandas", batch_size=None)
     ).materialize()
-    # The stages' status sets are disjoint — robots/filtered/seen from stage
-    # 0, dup from stage 1, deferred from stages 1 and 2 — so one count gives
-    # every counter (the summed cand entry is unused).
-    counts = _status_counts(stage0, stage1, stage2)
-    if counts.get("deferred"):
-        # deferred rows stream into the round's frontier parts — they never
-        # reach the driver
-        stage1.union(stage2).map_batches(
-            lambda t: _cast_frontier_batch(_only("deferred")(t)), batch_format="pyarrow"
-        ).write_parquet(deferred_dir)
+    # The close, in one execution: the stages' status sets are disjoint —
+    # robots/filtered/seen from stage 0, dup from stage 1, deferred from
+    # stages 1 and 2 — so the summed counts give every counter (the summed
+    # cand entry is unused), and the deferred rows stream into the round's
+    # frontier parts without reaching the driver.
+    closed = stage0.union(stage1, stage2).map_batches(
+        lambda t: _close_block(t, deferred_dir), batch_format="pyarrow", batch_size=None
+    )
+    counts = _sum_counts(pa.concat_tables(ray.get(closed.to_arrow_refs())))
     return _Selection(counts, stage2.to_arrow_refs(), False)
 
 
@@ -932,14 +921,23 @@ def _fetch_extract_feed(feed: pa.Table, pages_dir: str, max_depth: int, with_mar
     """Fetch, extract and write ONE pages bucket's feed — ``feed`` plus the
     bucket's feeds from other blocks, ``more`` — as its docs part and its
     children part, both named by the feed's first fetch_seq (buckets are
-    disjoint, so a re-run task overwrites its own parts).  With
-    ``fetch_start`` it first sleeps until ``fetch_start`` plus the feed's
-    largest ``wait_s``.  Returns the feed's miss rows (``_NO_MISSES``
-    schema)."""
+    disjoint, so a re-run task overwrites its own parts).  Returns the
+    feed's miss rows (``_NO_MISSES`` schema).
+
+    With ``fetch_start`` the feed is fetched in ascending ``wait_s`` groups:
+    the first group no earlier than ``fetch_start`` plus its offset, each
+    later one its offset's difference after the previous group's fetch
+    ended, so rows of one host stay at least its delay apart."""
     feed = pa.concat_tables([feed, *more]) if more else feed
-    if fetch_start is not None:
-        time.sleep(max(0.0, fetch_start + pc.max(feed["wait_s"]).as_py() - time.time()))
-    fetched = fetch_bucket_group(feed, pages_dir)
+    if fetch_start is None:
+        fetched = fetch_bucket_group(feed, pages_dir)
+    else:
+        parts, prev_w, prev_end = [], 0.0, fetch_start
+        for w in np.unique(feed["wait_s"].to_numpy()):
+            time.sleep(max(0.0, prev_end + w - prev_w - time.time()))
+            parts.append(fetch_bucket_group(feed.filter(pc.equal(feed["wait_s"], w)), pages_dir))
+            prev_w, prev_end = w, time.time()
+        fetched = pa.concat_tables(parts)
     docs = extract_batch_fn(fetched, max_depth, with_markdown=with_markdown)
     name = f"part_{pc.min(feed['fetch_seq']).as_py():012d}.parquet"
     pq.write_table(docs, os.path.join(docs_dir, name))
@@ -1070,7 +1068,6 @@ def crawl(
     corpus_dir: str,
     ckpt_dir: str,
     budget: dict | None = None,
-    n_shards: int = 4,
     resume: bool = True,
     stop_after_round: int | None = None,
     initial_frontier: pa.Table | None = None,
@@ -1142,7 +1139,7 @@ def crawl(
         robots=robots,
         robots_ref=ray.put(robots.rules),
         gate=UrlGate.from_config(filters),
-        seen=SeenSet(n_shards),
+        seen=SeenSet(SEEN_SHARDS),
         k=int(budget["max_per_host_per_round"]),
         max_depth=int(budget["max_depth"]),
         with_markdown=not count_only,

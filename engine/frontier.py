@@ -20,8 +20,8 @@ two-stage tree over a salted key —
 
     stage 1: groupby(salt = url_hash % N_SALT) -> exact in-round dedup
              (same url => same salt) + per-host top-k within the salt
-    stage 2: sort(host), then per host over <= N_SALT*k survivors -> exact
-             top-k
+    stage 2: sort(host), then the same function over blocks of whole hosts
+             (<= N_SALT*k distinct survivors per host) -> exact top-k
 
 so no group ever exceeds ``N_SALT * k`` rows even for a hot host with 10^8
 candidate URLs, and the result is exactly the unsalted per-host top-k.
@@ -115,7 +115,7 @@ def dedup_and_salt_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def host_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Stage 2 fn over one host's rows: exact per-host top-k over salt winners."""
+    """Exact top-k over one host's salt winners: stage 2's test reference."""
     cand = df[df["status"] == "cand"]
     other = df[df["status"] != "cand"]
     cand = cand.sort_values(["depth", "priority", "discovery_seq"], kind="mergesort")

@@ -16,7 +16,6 @@ Config keys::
                   "allowed_extensions": [...],
                   "allow_titles": [...],            # inline title allow-list
                   "allowlist_file": "docstoingest.txt"},  # or from a file
-      "n_shards": 4,
       "seen_backend": "bloom",            # bloom | cuckoo | spill (accepted; no longer selects code)
       "num_cpus": 32                      # only used by the CLI's own ray.init
     }
@@ -51,7 +50,6 @@ def load_job_config(path: str) -> dict:
             raise ValueError(f"job config missing required key: {key}")
     cfg.setdefault("budget", None)
     cfg.setdefault("filters", None)
-    cfg.setdefault("n_shards", 4)
     cfg.setdefault("seen_backend", "bloom")
     if cfg["seen_backend"] not in ("bloom", "cuckoo", "spill"):
         raise ValueError(f"unknown seen_backend: {cfg['seen_backend']}")
@@ -66,7 +64,6 @@ def run_job(cfg: dict):
         cfg["corpus_dir"],
         cfg["ckpt_dir"],
         budget=cfg.get("budget"),
-        n_shards=int(cfg.get("n_shards", 4)),
         filters=cfg.get("filters"),
         seen_backend=cfg.get("seen_backend", "bloom"),
     )

@@ -396,6 +396,48 @@ def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     assert write_docs_manifest(docs_dir, n)["ok"]
 
 
+def test_close_block_writes_its_deferred_part_and_counts(tmp_path):
+    """The selection's close on one disposition block (no Ray): its deferred
+    rows land in one part named by their smallest url_hash, so a second
+    (re-run) close overwrites it with the same rows; a block without
+    deferred rows writes nothing; the counts are the block's status
+    value_counts."""
+    import random
+
+    import pyarrow.compute as pc
+
+    from engine.crawl import _close_block, _sum_counts
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    rng = random.Random(5)
+    rows = [frontier_row(f"https://h{i % 3}.example.test/p{i}.html", 0, 0, i) for i in range(40)]
+    table = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
+    status = [rng.choice(["cand", "deferred", "dup", "seen", "robots"]) for _ in rows]
+    table = table.append_column("status", pa.array(status, pa.string()))
+    want_counts = {
+        d["values"]: d["counts"] for d in pc.value_counts(table["status"]).to_pylist()
+    }
+    deferred = table.filter(pc.equal(table["status"], "deferred"))
+    want_name = f"deferred_{min(deferred['url_hash'].to_pylist()):019d}.parquet"
+    want_rows = deferred.select(FRONTIER_SCHEMA.names).sort_by("url").to_pylist()
+
+    out = str(tmp_path / "deferred")
+    os.makedirs(out)
+    for _ in range(2):
+        assert _sum_counts(_close_block(table, out)) == want_counts
+        assert os.listdir(out) == [want_name]
+        part = pq.read_table(os.path.join(out, want_name))
+        assert part.schema == FRONTIER_SCHEMA
+        assert part.sort_by("url").to_pylist() == want_rows
+
+    empty = str(tmp_path / "none")
+    os.makedirs(empty)
+    no_deferred = table.filter(pc.not_equal(table["status"], "deferred"))
+    counts = _sum_counts(_close_block(no_deferred, empty))
+    assert counts == {s: n for s, n in want_counts.items() if s != "deferred"}
+    assert os.listdir(empty) == []
+
+
 def _write_mini_corpus(root, pages: dict, seeds: list, n_buckets: int = 4):
     """Hand-built corpus dir (pages: url -> html str; seeds: [(url, prio)])."""
     from engine.canonicalize import url_hash64

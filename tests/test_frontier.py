@@ -55,6 +55,24 @@ def test_salted_two_stage_equals_unsalted(seed, k):
     assert len(final) == len(df)
     assert set(final["status"]) <= {"cand", "dup", "deferred"}
 
+    # The engine's stage 2 runs the stage-1 group function over blocks of
+    # whole hosts of stage-1 survivors: the same rows as host_topk per host.
+    survivors = stage1[stage1["status"] == "cand"]
+    hosts = sorted(survivors["host"].unique())
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, len(hosts)), 2, replace=False))
+    cols = ["url_hash", "status", "retry"]
+
+    def rows(frame):
+        return sorted(map(tuple, frame[cols].itertuples(index=False)))
+
+    for block_hosts in np.split(np.asarray(hosts), cuts):
+        block = survivors[survivors["host"].isin(block_hosts)].sample(frac=1, random_state=seed)
+        want = pd.concat(
+            [host_topk(g, k) for _, g in block.groupby("host", sort=False)], ignore_index=True
+        )
+        assert rows(dedup_and_salt_topk(block, k)) == rows(want)
+
 
 def test_dedup_winner_inherits_retry():
     df = _rand_frontier(1, 1, 1, 0).iloc[0:0]

@@ -119,3 +119,47 @@ def test_politeness_offset_is_a_token_bucket_wait(tmp_path):
         assert max(j.values()) >= 4
         (part,) = glob(os.path.join(selected, "*.parquet"))
         assert "wait_s" not in pq.read_schema(part).names
+
+
+def test_fetch_step_spaces_one_hosts_rows_by_their_offsets(tmp_path, monkeypatch):
+    """Two rows of one host in one pages bucket, with offsets d and 2d, are
+    fetched as two groups at least d apart, not together at the larger
+    offset (in process, no Ray)."""
+    import os
+    import time
+
+    import pyarrow as pa
+
+    import engine.crawl as crawl_mod
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    calls = []
+    real = crawl_mod.fetch_bucket_group
+
+    def spy(group, pages_dir):
+        calls.append((time.time(), group["url"].to_pylist()))
+        return real(group, pages_dir)
+
+    monkeypatch.setattr(crawl_mod, "fetch_bucket_group", spy)
+    d = 0.2
+    urls = ["https://h.example.test/b.html", "https://h.example.test/a.html"]
+    feed = pa.Table.from_pylist([frontier_row(u, 0, 0, i) for i, u in enumerate(urls)],
+                                schema=FRONTIER_SCHEMA)
+    feed = (
+        feed.append_column("fetch_seq", pa.array([3, 4], pa.int64()))
+        .append_column("round", pa.array([0, 0], pa.int32()))
+        .append_column("wait_s", pa.array([2 * d, d], pa.float64()))
+        .append_column("bucket", pa.array([0, 0], pa.int32()))
+    )
+    dirs = [str(tmp_path / x) for x in ("docs", "children")]
+    for x in dirs:
+        os.makedirs(x)
+    fetch_start = time.time()
+    # no pages directory at all: both urls miss
+    misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), 3, True, *dirs,
+                                           fetch_start=fetch_start)
+    assert sorted(misses["url"].to_pylist()) == sorted(urls)
+    assert [u for _, u in calls] == [[urls[1]], [urls[0]]]
+    (t1, _), (t2, _) = calls
+    assert t1 >= fetch_start + d
+    assert t2 - t1 >= d
