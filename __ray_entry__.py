@@ -202,7 +202,7 @@ def crawl_recrawl(sf_dir: str):
               "max_depth": 6, "max_rounds": 60}
     ck = corpus + "_ckpt"
     shutil.rmtree(ck, ignore_errors=True)  # the workflow runs fresh each call
-    first = crawl(corpus, ck, budget, resume=False, seen_backend="cuckoo")
+    first = crawl(corpus, ck, budget, resume=False)
 
     docs = first.docs_dataset().to_pandas()
     hits = sorted(docs[docs.status == "hit"].url.unique().tolist())

@@ -11,7 +11,7 @@ A from-scratch re-expression of the capabilities of the reference
                            ``SharePointClient.cs:207-208,387,92-94``).
 - ``engine.synth``         deterministic synthetic Common-Crawl-style corpus
                            (FIXTURES.md schema: url, warc_ts, html, text, lang).
-- ``engine.seen``          sharded Bloom + sorted-array URL-seen set, one
+- ``engine.seen``          URL-seen set as one sorted hash array, one
                            immutable value per crawl round.
 - ``engine.politeness``    robots.txt gating + per-host round budgets.
 - ``engine.frontier``      priority ordering + budget slicing + skew pre-pruning.

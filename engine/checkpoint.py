@@ -169,10 +169,13 @@ class CheckpointManager:
         phases: dict | None = None,
         errors: pa.Table | None = None,
         rss_mb: float | None = None,
+        seen_keys: int | None = None,
     ):
         """Commit round r.  The schedule parts (and so the seen delta), the
         deferred, children and docs parts are already on disk; this writes
-        the retries, the errors and the counters, then ``_SUCCESS``."""
+        the retries, the errors and the counters, then ``_SUCCESS``.
+        ``seen_keys`` is the size of the seen value the round's selection
+        probed."""
         rd = self._round_dir(r)
         os.makedirs(rd, exist_ok=True)
         success = os.path.join(rd, "_SUCCESS")
@@ -194,6 +197,7 @@ class CheckpointManager:
                     "cumulative": cumulative,
                     "phase_sec": phases or {},
                     "driver_rss_mb": rss_mb,
+                    "seen_keys": seen_keys,
                 }
             ),
         )
@@ -351,5 +355,6 @@ def metrics_summary(ckpt_dir: str):
             round((row["attempted"] + row["deduped"]) / total_sec, 1) if total_sec else None
         )
         row["driver_rss_mb"] = meta.get("driver_rss_mb")
+        row["seen_keys"] = meta.get("seen_keys")
         rows.append(row)
     return pd.DataFrame(sorted(rows, key=lambda r: r["round"]))

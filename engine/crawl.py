@@ -118,9 +118,6 @@ from .synth import default_budget
 # salted two-stage tree (skew-bounded) and one finalize task per block.
 SMALL_FRONTIER_ROWS = 200_000
 
-# Hash shards of the seen value (each with its own Bloom bits).
-SEEN_SHARDS = 4
-
 DOCS_SCHEMA = pa.schema(
     [
         pa.field("url", pa.string()),
@@ -549,12 +546,18 @@ class _LazyFrontier:
         self.extra = pa.concat_tables([self.extra, _cast_frontier_batch(t)])
 
     def max_discovery_seq(self) -> int:
-        """Single-column max (recrawl seq baseline) — reads only the
-        discovery_seq column of the files, never the frontier rows."""
+        """Max discovery_seq over the files and ``extra`` (the recrawl seq
+        baseline), from the files' parquet footer statistics: the frontier
+        rows are never read.  A row group without min/max holds no value
+        (it is empty or all null; every part is written with statistics)."""
         seqs = [pc.max(self.extra["discovery_seq"]).as_py()] if self.extra.num_rows else []
-        if self._n_file_rows:
-            ds = rd.read_parquet(self.files, columns=["discovery_seq"])
-            seqs.append(ds.max("discovery_seq"))
+        for f in self.files:
+            md = pq.ParquetFile(f).metadata
+            col = md.schema.names.index("discovery_seq")
+            for i in range(md.num_row_groups):
+                st = md.row_group(i).column(col).statistics
+                if st is not None and st.has_min_max:
+                    seqs.append(st.max)
         return int(max(seqs))
 
     def to_table(self) -> pa.Table:
@@ -826,7 +829,7 @@ def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
     # seen/dup rows ARE the frontier).  Every group is bounded by N_SALT*k
     # rows even for a hot host (SURVEY.md §7.6.4).
     robots_ref, gate, k = c.robots_ref, c.gate, c.k
-    seen_ref = ray.put(c.seen.shards)
+    seen_ref = ray.put(c.seen.keys)
 
     def group(df: pd.DataFrame) -> pa.Table:
         return _disp_arrow(dedup_and_salt_topk(df, k))
@@ -1024,7 +1027,7 @@ def _commit(c: _Crawl, r: int, sel: _Selection, sched: _Schedule, misses: pa.Tab
         cumulative[key] = counters[key] if key == "deferred" else cumulative[key] + counters[key]
     phases["commit"] = round(time.perf_counter() - t0, 3)
     c.cm.write_round(r, retries, counters, cumulative, phases=phases, errors=errors,
-                     rss_mb=_driver_rss_mb())
+                     rss_mb=_driver_rss_mb(), seen_keys=len(c.seen.keys))
     c.seen.add_many(read_seen_delta(c.cm.dir, r))
     return _frontier_handle(c.cm, r)
 
@@ -1074,7 +1077,6 @@ def crawl(
     filters: dict | None = None,
     count_only: bool = False,
     enforce_delays: bool = False,
-    seen_backend: str = "bloom",
     invalidate_urls: list | None = None,
 ) -> CrawlResult:
     """Run (or resume) a crawl over a synthetic corpus. Ray must be initialised.
@@ -1093,11 +1095,6 @@ def crawl(
     (j+1) delays after the round's fetch start, so a host may wait up to
     one extra interval per round.  No politeness state crosses a round or a
     resume: the previous round's fetches all ended before this one starts.
-
-    ``seen_backend`` ("bloom", "cuckoo" or "spill") is accepted for callers
-    and job configs written against the earlier actor backends; it no
-    longer selects code.  Every crawl uses the one per-round seen value of
-    ``engine.seen``, which supports deletion.
     """
     budget = dict(budget or default_budget())
     with open(os.path.join(corpus_dir, "_corpus.json")) as f:
@@ -1139,7 +1136,7 @@ def crawl(
         robots=robots,
         robots_ref=ray.put(robots.rules),
         gate=UrlGate.from_config(filters),
-        seen=SeenSet(SEEN_SHARDS),
+        seen=SeenSet(),
         k=int(budget["max_per_host_per_round"]),
         max_depth=int(budget["max_depth"]),
         with_markdown=not count_only,

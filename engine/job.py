@@ -16,9 +16,11 @@ Config keys::
                   "allowed_extensions": [...],
                   "allow_titles": [...],            # inline title allow-list
                   "allowlist_file": "docstoingest.txt"},  # or from a file
-      "seen_backend": "bloom",            # bloom | cuckoo | spill (accepted; no longer selects code)
       "num_cpus": 32                      # only used by the CLI's own ray.init
     }
+
+Other keys are ignored, so a config that names an option the engine no
+longer has still loads and runs.
 
 Secrets never appear in the config (the reference stores credentials in its
 settings JSON; the engine's analog is environment-provided and out of scope).
@@ -50,9 +52,6 @@ def load_job_config(path: str) -> dict:
             raise ValueError(f"job config missing required key: {key}")
     cfg.setdefault("budget", None)
     cfg.setdefault("filters", None)
-    cfg.setdefault("seen_backend", "bloom")
-    if cfg["seen_backend"] not in ("bloom", "cuckoo", "spill"):
-        raise ValueError(f"unknown seen_backend: {cfg['seen_backend']}")
     return cfg
 
 
@@ -65,7 +64,6 @@ def run_job(cfg: dict):
         cfg["ckpt_dir"],
         budget=cfg.get("budget"),
         filters=cfg.get("filters"),
-        seen_backend=cfg.get("seen_backend", "bloom"),
     )
 
 

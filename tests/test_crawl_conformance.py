@@ -346,6 +346,136 @@ def test_rerun_fetch_task_overwrites_its_parts(crawl_pair, small_corpus, tmp_pat
             assert len(glob(os.path.join(d, "*.parquet"))) == len(buckets), (r, d)
 
 
+# a round with politeness-deferred rows, a re-queued retry and a final miss
+KILL_ROUND = 4
+
+
+class _Killed(Exception):
+    """The driver dies here: ``crawl()`` cleans nothing up on the way out,
+    so the disk is left as a kill leaves it."""
+
+
+def _kill_before_success(monkeypatch, crawl_mod, ck):
+    """After the round's docs and ``counters.json``, before ``_SUCCESS``."""
+    import engine.checkpoint as ckpt
+
+    write, rd = ckpt._write_atomic, os.path.join(ck, f"round={KILL_ROUND}")
+
+    def killed(path, text):
+        if path == os.path.join(rd, "_SUCCESS"):
+            raise _Killed
+        write(path, text)
+
+    monkeypatch.setattr(ckpt, "_write_atomic", killed)
+    return lambda: os.path.exists(os.path.join(rd, "counters.json")) and os.path.exists(
+        os.path.join(ck, "docs", f"round={KILL_ROUND}", "_manifest.json")
+    )
+
+
+def _kill_in_select(monkeypatch, crawl_mod, ck):
+    """Inside ``_select``, once the first ``_close_block`` wrote its part."""
+    close = crawl_mod._close_block
+    target = os.path.join(ck, f"round={KILL_ROUND}", "frontier_deferred")
+
+    def killed(t, deferred_dir):
+        out = close(t, deferred_dir)
+        if deferred_dir == target and os.listdir(target):
+            raise _Killed
+        return out
+
+    monkeypatch.setattr(crawl_mod, "_close_block", killed)
+    return lambda: glob(os.path.join(target, "deferred_*.parquet"))
+
+
+def _kill_in_schedule(monkeypatch, crawl_mod, ck):
+    """Inside ``_schedule``, once the first ``selected/`` part is written."""
+    finalize = crawl_mod._finalize_block
+
+    def killed(*args):
+        out = finalize(*args)
+        ids = next(out)  # the block's schedule part is on disk
+        if args[4] == KILL_ROUND:
+            raise _Killed
+        yield ids
+        yield from out
+
+    monkeypatch.setattr(crawl_mod, "_finalize_block", killed)
+    return lambda: glob(os.path.join(ck, f"round={KILL_ROUND}", "selected", "*.parquet"))
+
+
+@pytest.mark.parametrize(
+    "kill", [_kill_before_success, _kill_in_select, _kill_in_schedule],
+    ids=["before_success", "in_select", "in_schedule"],
+)
+def test_resume_after_kill_matches_oracle(crawl_pair, tmp_path, monkeypatch, kill):
+    """A driver killed mid-round leaves the round's partial files on disk
+    without ``_SUCCESS``.  The resume re-runs that round from the complete
+    rounds alone — the seen value is rebuilt from their ``selected/`` parts,
+    not the killed round's — and matches the oracle on counters, order and
+    seen set, with every docs manifest valid."""
+    import engine.crawl as crawl_mod
+    from engine.checkpoint import validate_docs_output
+
+    corpus_dir, oracle, _engine = crawl_pair
+    ck = str(tmp_path / "ckpt")
+    left_behind = kill(monkeypatch, crawl_mod, ck)
+    with pytest.raises(_Killed):
+        crawl_mod.crawl(corpus_dir, ck, BUDGET)
+    monkeypatch.undo()
+    assert left_behind(), "the kill left none of the round's files"
+    assert not os.path.exists(os.path.join(ck, f"round={KILL_ROUND}", "_SUCCESS"))
+
+    resumed = crawl_mod.crawl(corpus_dir, ck, BUDGET)
+    assert resumed.cumulative == oracle["cumulative"]
+    for r, want in enumerate(oracle["round_counters"]):
+        with open(os.path.join(ck, f"round={r}", "counters.json")) as f:
+            assert json.load(f)["counters"] == want, f"round {r}"
+    assert [(r["fetch_seq"], r["url"]) for r in resumed.order_table().to_pylist()] == [
+        (r["fetch_seq"], r["url"]) for r in oracle["order"]
+    ]
+    assert set(resumed.seen_hashes().tolist()) == oracle["seen_hashes"]
+    assert len(validate_docs_output(resumed.docs_dir)) == resumed.rounds
+
+
+def test_lazy_frontier_max_discovery_seq_from_footers(tmp_path):
+    """The recrawl seq baseline from parquet footers equals ``pc.max`` over
+    the files' rows plus the ``extra`` rows: parts with several row groups,
+    an empty part, and the max on either side."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from engine.checkpoint import CheckpointManager
+    from engine.crawl import _LazyFrontier
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    rng = np.random.default_rng(4)
+    seqs = rng.permutation(5000)[:300].tolist()
+
+    def table(seq_list):
+        return pa.Table.from_pylist(
+            [frontier_row(f"https://h{s % 7}.example.test/p{s}.html", 1, 0, s) for s in seq_list],
+            schema=FRONTIER_SCHEMA,
+        )
+
+    cm = CheckpointManager(str(tmp_path), {"test": 1})
+    rd = tmp_path / "round=0"
+    for sub in ("frontier_children", "frontier_deferred"):
+        os.makedirs(rd / sub)
+    pq.write_table(table(seqs[:100]), rd / "frontier_next.parquet", row_group_size=16)
+    pq.write_table(table(seqs[100:250]), rd / "frontier_children" / "part_a.parquet",
+                   row_group_size=40)
+    pq.write_table(FRONTIER_SCHEMA.empty_table(), rd / "frontier_deferred" / "deferred_0.parquet")
+    files_max = pc.max(
+        pa.concat_tables([pq.read_table(f) for f in cm.frontier_files(0)])["discovery_seq"]
+    ).as_py()
+    assert files_max == max(seqs[:250])
+    for extra in (None, table(seqs[250:]), table([files_max + 7])):
+        fr = _LazyFrontier(cm, 0, extra)
+        want = max([files_max] + ([] if extra is None else extra["discovery_seq"].to_pylist()))
+        assert fr.max_discovery_seq() == want
+    assert _LazyFrontier(extra=table(seqs[250:])).max_discovery_seq() == max(seqs[250:])
+
+
 def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     """The fused fetch step on one bucket-pure feed (no Ray): one docs part
     and one children part, named by the feed's first fetch_seq, so a second

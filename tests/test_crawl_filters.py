@@ -120,7 +120,9 @@ def test_precount_matches_full_crawl(small_corpus, tmp_path):
 
 
 def test_metrics_summary(small_corpus, tmp_path):
-    from engine.checkpoint import metrics_summary
+    import numpy as np
+
+    from engine.checkpoint import metrics_summary, seen_hashes_through
     from engine.crawl import crawl
 
     corpus_dir, _cfg = small_corpus
@@ -130,6 +132,12 @@ def test_metrics_summary(small_corpus, tmp_path):
     assert len(df) == res.rounds
     assert df["fetched"].sum() == res.cumulative["fetched"]
     assert (df["round_sec"] > 0).all()
+    # the seen value a round's selection probed holds every url attempted
+    # before that round
+    assert df["seen_keys"].tolist() == [
+        len(np.unique(seen_hashes_through(res.ckpt_dir, r - 1))) for r in range(res.rounds)
+    ]
+    assert df["seen_keys"].iloc[0] == 0 and df["seen_keys"].is_monotonic_increasing
 
 
 def test_extract_path_and_stream_entries(tmp_path):
@@ -220,10 +228,13 @@ def test_docs_manifest_validation(small_corpus, tmp_path, ray_session):
         validate_docs_output(res.docs_dir)
 
 
-def test_job_config_seen_backend_passthrough(tmp_path):
+def test_job_config_seen_backend_passthrough(tmp_path, monkeypatch):
+    """A config written for the removed ``seen_backend`` option still loads,
+    and the key is ignored."""
     import json
 
-    from engine.job import load_job_config
+    import engine.crawl as crawl_mod
+    from engine.job import load_job_config, run_job
 
     p = tmp_path / "job.json"
     p.write_text(json.dumps({
@@ -232,8 +243,7 @@ def test_job_config_seen_backend_passthrough(tmp_path):
     }))
     cfg = load_job_config(str(p))
     assert cfg["seen_backend"] == "spill"
-    p.write_text(json.dumps({"corpus_dir": "/x", "ckpt_dir": "/y", "seen_backend": "nope"}))
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="seen_backend"):
-        load_job_config(str(p))
+    calls = []
+    monkeypatch.setattr(crawl_mod, "crawl", lambda *a, **kw: calls.append((a, kw)))
+    run_job(cfg)
+    assert calls == [(("/x", "/y"), {"budget": None, "filters": cfg["filters"]})]

@@ -3,8 +3,8 @@
 The reference carries etag + last_modified on every wire payload
 (``DocumentPayload.cs:10-25``) as the hook for "only re-ingest changed
 documents"; the engine derives the invalidation set by anti-joining current
-page etags against the checkpoint's stored docs table and drives the
-deletable cuckoo seen backend with it.
+page etags against the checkpoint's stored docs table and deletes that set
+from the seen set on resume.
 """
 
 
@@ -16,7 +16,7 @@ def test_etag_recrawl_fetches_exactly_changed(small_corpus, tmp_path):
     budget = {"max_urls_total": 2000, "max_per_host_per_round": 8,
               "max_depth": 6, "max_rounds": 40}
     ck = str(tmp_path / "ck")
-    first = crawl(corpus_dir, ck, budget, seen_backend="cuckoo")
+    first = crawl(corpus_dir, ck, budget)
 
     docs = first.docs_dataset().to_pandas()
     hits = sorted(docs[docs.status == "hit"].url.unique().tolist())
@@ -57,7 +57,7 @@ def test_recrawl_records_deletions(small_corpus, tmp_path):
     budget = {"max_urls_total": 2000, "max_per_host_per_round": 8,
               "max_depth": 6, "max_rounds": 40}
     ck = str(tmp_path / "ck")
-    first = crawl(corpus_dir, ck, budget, seen_backend="cuckoo")
+    first = crawl(corpus_dir, ck, budget)
     docs = first.docs_dataset().to_pandas()
     hits = sorted(docs[docs.status == "hit"].url.unique().tolist())
     changed_t = hits[:3]

@@ -1,4 +1,5 @@
-"""Seen-set tests: the per-round SeenSet value (SURVEY.md §2.7 D1, §7.4)."""
+"""Seen-set tests: the per-round SeenSet value (SURVEY.md §2.7 D1, §7.4), and
+crawls that match the oracle through it, recrawl invalidation included."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 def seen_set():
     from engine.seen import SeenSet
 
-    return SeenSet(3)
+    return SeenSet()
 
 
 def test_no_false_negatives_and_exactness(seen_set):
@@ -18,7 +19,7 @@ def test_no_false_negatives_and_exactness(seen_set):
     other = np.setdiff1d(other, added)
     seen_set.add_many(added)
     assert seen_set.check_many(added).all()          # no false negatives
-    assert not seen_set.check_many(other).any()      # exact (bloom FPs confirmed away)
+    assert not seen_set.check_many(other).any()      # exact
 
 
 def test_add_idempotent(seen_set):
@@ -33,18 +34,10 @@ def test_empty_batch(seen_set):
     assert seen_set.check_many(np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
-def test_sharding_partitions_by_hash(seen_set):
-    h = np.arange(300, dtype=np.int64)
-    seen_set.add_many(h)
-    stats = seen_set.stats()
-    assert len(stats) == 3
-    assert all(s["n_exact"] == 100 for s in stats)
-
-
 def test_dump_roundtrip(seen_set):
     h = np.array([5, 17, 92], dtype=np.int64)
     seen_set.add_many(h)
-    assert set(seen_set.dump_all().tolist()) == {5, 17, 92}
+    assert set(seen_set.keys.tolist()) == {5, 17, 92}
 
 
 def test_delete_then_readd(seen_set):
@@ -57,7 +50,7 @@ def test_delete_then_readd(seen_set):
     assert sum(s["n_exact"] for s in seen_set.stats()) == 400
     seen_set.add_many(keys[:100])   # re-add after invalidation
     assert seen_set.check_many(keys).all()
-    assert np.array_equal(np.sort(seen_set.dump_all()), keys)
+    assert np.array_equal(np.sort(seen_set.keys), keys)
 
 
 def test_add_idempotent_under_retry_then_delete(seen_set):
@@ -79,26 +72,21 @@ def test_exact_across_many_merges(seen_set):
         seen_set.add_many(added[i : i + 700])
     assert seen_set.check_many(added).all()
     assert not seen_set.check_many(other).any()
-    for sh in seen_set.shards:
-        assert np.all(np.diff(sh.keys) > 0)  # sorted, unique
-    assert np.array_equal(np.sort(seen_set.dump_all()), added)
+    assert np.all(np.diff(seen_set.keys) > 0)  # sorted, unique
+    assert not seen_set.keys.flags.writeable
+    assert np.array_equal(seen_set.keys, added)
 
 
 def test_bloom_false_positives_are_confirmed_away(seen_set):
-    """Bloom false positives cost an exact lookup, never a wrong answer; the
-    bitmap grows with the keys, so the false-positive rate stays low."""
+    """No false positive at scale: 20k keys grown by barrier-sized merges,
+    200k absent probes."""
     rng = np.random.default_rng(3)
     keys = np.unique(rng.integers(0, 2**62, size=20_000, dtype=np.int64))
-    for i in range(0, len(keys), 1000):  # barrier-sized merges grow the bitmap
+    for i in range(0, len(keys), 1000):
         seen_set.add_many(keys[i : i + 1000])
     absent = np.setdiff1d(rng.integers(0, 2**62, size=200_000, dtype=np.int64), keys)
     assert seen_set.check_many(keys).all()
     assert not seen_set.check_many(absent).any()
-    stats = seen_set.stats()
-    fp = sum(st["bloom_false_positives"] for st in stats)
-    assert 0 < fp < 0.01 * len(absent)
-    for sh in seen_set.shards:
-        assert len(sh.bloom) * 8 >= 16 * len(sh.keys)
 
 
 def test_value_handed_out_is_unaffected_by_later_adds(seen_set):
@@ -106,12 +94,26 @@ def test_value_handed_out_is_unaffected_by_later_adds(seen_set):
     barrier builds a new one."""
     from engine.seen import check_many_via_handles
 
-    before = seen_set.shards
+    before = seen_set.keys
     keys = np.arange(1, 50, dtype=np.int64)
     seen_set.add_many(keys)
     assert not check_many_via_handles(before, keys).any()
-    assert check_many_via_handles(seen_set.shards, keys).all()
-    assert not before[0].keys.flags.writeable and not before[0].bloom.flags.writeable
+    assert check_many_via_handles(seen_set.keys, keys).all()
+    for value in (before, seen_set.keys):
+        assert np.all(np.diff(value) > 0) and not value.flags.writeable
+
+
+def test_probe_mask_in_input_order(seen_set):
+    """Probes are sorted for the lookup; the mask comes back in the order
+    the batch arrived, repeats included."""
+    rng = np.random.default_rng(9)
+    keys = np.unique(rng.integers(0, 2**62, size=3000, dtype=np.int64))
+    seen_set.add_many(keys[::2])
+    probes = rng.choice(keys, size=10_000)  # every key repeats about 3 times
+    rng.shuffle(probes)
+    want = np.isin(probes, keys[::2])
+    assert want.any() and not want.all()
+    assert np.array_equal(seen_set.check_many(probes), want)
 
 
 @pytest.mark.parametrize("enforce_delays", [False, True])
@@ -134,3 +136,57 @@ def test_crawl_starts_no_actors(small_corpus, tmp_path, ray_session, enforce_del
     assert res.rounds >= 2
     new = {k: v for k, v in state.actors().items() if k not in before}
     assert not new, [v.get("ActorClassName") for v in new.values()]
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"max_urls_total": 120, "max_per_host_per_round": 5, "max_depth": 4, "max_rounds": 5},
+        {"max_urls_total": 250, "max_per_host_per_round": 6, "max_depth": 5, "max_rounds": 8},
+    ],
+    ids=["5rounds", "8rounds"],
+)
+def test_crawl_matches_oracle(small_corpus, tmp_path, ray_session, budget):
+    """Crawl order, counters and seen set match the sequential oracle."""
+    from engine.crawl import crawl
+    from engine.oracle import crawl_oracle
+
+    corpus_dir, _cfg = small_corpus
+    oracle = crawl_oracle(corpus_dir, budget)
+    engine = crawl(corpus_dir, str(tmp_path / "ckpt"), budget)
+    assert engine.cumulative == oracle["cumulative"]
+    got = engine.order_table().to_pylist()
+    assert [(x["fetch_seq"], x["url"]) for x in got] == [
+        (x["fetch_seq"], x["url"]) for x in oracle["order"]
+    ]
+    assert set(engine.seen_hashes().tolist()) == oracle["seen_hashes"]
+
+
+def test_recrawl_invalidation_workflow(small_corpus, tmp_path, ray_session):
+    """The recrawl-after-N-days workflow: invalidate a few fetched urls on
+    resume, and they are fetched AGAIN with fresh fetch_seq while everything
+    else stays seen."""
+    from engine.crawl import crawl
+
+    corpus_dir, _cfg = small_corpus
+    ck = str(tmp_path / "ckpt_recrawl")
+    # budget deliberately NOT exhausted by the first crawl (the lineage
+    # check refuses budget changes on resume, by design)
+    budget = {"max_urls_total": 400, "max_per_host_per_round": 6, "max_depth": 2, "max_rounds": 3}
+    first = crawl(corpus_dir, ck, budget)
+    order1 = first.order_table().to_pylist()
+    fetched_urls = [r["url"] for r in order1]
+    assert len(fetched_urls) >= 10
+    targets = fetched_urls[:3]
+
+    second = crawl(corpus_dir, ck, budget, invalidate_urls=targets)
+    order2 = second.order_table().to_pylist()
+    new_rows = [r for r in order2 if r["fetch_seq"] >= len(order1)]
+    new_urls = {r["url"] for r in new_rows}
+    assert set(targets) <= new_urls          # invalidated urls re-fetched
+    # non-invalidated depth-0 urls (the seeds) stay seen: any new depth-0
+    # fetch must be an invalidated url
+    for r in new_rows:
+        assert r["depth"] > 0 or r["url"] in targets
+    # the first crawl's schedule is untouched (append-only history)
+    assert [x["url"] for x in order2[: len(order1)]] == [x["url"] for x in order1]
