@@ -98,7 +98,7 @@ from .checkpoint import (
     validate_docs_output,
     write_docs_manifest,
 )
-from .extract import extract_document, parse_layout
+from .extract import extract_document, page_layout
 from .frontier import (
     FRONTIER_SCHEMA,
     ORDER_COLS,
@@ -301,7 +301,7 @@ def extract_batch_fn(batch: pa.Table, max_depth: int, with_markdown: bool = True
         else:
             d = {"markdown": None, "title": None, "header_doc": None}
             meta = []
-            _pages, hrefs = parse_layout(html)
+            _pages, hrefs = page_layout(html)
         links = []
         if depth < max_depth:
             for href in hrefs:

@@ -25,9 +25,17 @@ metric, shared by synth + extract).
 
 Pipeline (mirrors ``ConvertToMarkdownCore``, ``PdfToMarkdownConverter.cs:116-259``):
 
-    build_lines -> detect_repeating_lines -> parse_header_and_title ->
+    page_layout -> build_lines -> detect_repeating_lines -> parse_header_and_title ->
     per page [repeat-filter -> noise-filter -> header-line-filter ->
               numbered-heading | process-table | paragraph] -> flush
+
+Words travel as columns: ``page_layout`` (this module's ``parse_layout`` or
+``engine.pdf.parse_pdf_layout``) gives each page's words as ``(left, mid_y,
+texts)``, two float64 arrays and a list, and ``build_lines`` groups them with
+one ``np.lexsort`` per page.  A ``Line`` keeps its words' ``left`` and
+``texts``; ``WordBox`` objects are built only when ``Line.words`` is read,
+which only table detection does (``compute_column_anchors``,
+``slice_into_columns``).
 
 Every helper cites the reference lines whose semantics it re-implements.
 All state is per-document; nothing here touches Ray.
@@ -38,6 +46,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 # Fixed-width font model shared with engine.synth (defines WordBox.Right).
 CHAR_WIDTH = 6.0
@@ -81,20 +91,24 @@ _NOISE_PATTERNS = tuple(
 
 _PAGE_OF_RE = re.compile(r"(?i)\bPage\s*:\s*\d+\s*of\s*\d+\b")  # cs:338
 
-# One alternation of every noise pattern + the inline page-of check: a single
-# C-level scan per line instead of 12 (is_noise dominated the extraction
-# profile).  Each branch keeps its own anchors/flags, so `search(combined)`
-# is exactly `any(search(p_i))`.
-def _scoped(p: str) -> str:
-    # global (?i) flags must head the whole expression; rewrite each branch's
-    # leading (?i) as a scoped inline group so branches can be OR-ed.
-    return f"(?i:{p[4:]})" if p.startswith("(?i)") else f"(?:{p})"
+
+# The default noise check as two scans instead of 12: the ``^``-anchored
+# patterns OR-ed into one regex that is ``match``ed at the line start, the
+# rest (and the inline page-of check) into one that is ``search``ed.  Every
+# default pattern carries the same leading (?i), so one global flag per
+# regex keeps each branch's meaning and `match or search` is exactly
+# `any(search(p_i))`.  Unanchored branches scanned at every position were
+# what made a single alternation slow.
+def _noise_alternation(patterns: list) -> re.Pattern:
+    assert all(p.startswith("(?i)") for p in patterns)
+    return re.compile("(?i)" + "|".join(f"(?:{p[4:]})" for p in patterns))
 
 
-_NOISE_COMBINED_RE = re.compile(
-    "|".join(_scoped(rx.pattern) for rx in _NOISE_PATTERNS)
-    + "|" + _scoped(_PAGE_OF_RE.pattern)
-)
+_NOISE_DEFAULT_PATTERNS = [rx.pattern for rx in _NOISE_PATTERNS] + [_PAGE_OF_RE.pattern]
+_NOISE_ANCHORED_RE = _noise_alternation(
+    [p for p in _NOISE_DEFAULT_PATTERNS if p.startswith("(?i)^")])
+_NOISE_UNANCHORED_RE = _noise_alternation(
+    [p for p in _NOISE_DEFAULT_PATTERNS if not p.startswith("(?i)^")])
 _NOISE_PREFIXES_CF = tuple(s.casefold() for s in _NOISE_STARTS_WITH)
 
 # "1.0 Purpose"-style headings (PdfToMarkdownConverter.cs:52-53)
@@ -150,7 +164,7 @@ DEFAULT_OPTIONS = ExtractOptions()
 # Layout model (PdfToMarkdownConverter.cs:263-281)
 # ---------------------------------------------------------------------------
 
-# slots=True: these are allocated by the thousand per page; slotted instances
+# slots=True: lines are allocated by the thousand per document; slotted instances
 # are ~3x smaller and GC-lighter, which raises the multi-core ceiling of the
 # extraction stage (allocation-heavy Python hits memory/page-fault contention
 # long before it runs out of ALUs).
@@ -165,7 +179,14 @@ class WordBox:
 class Line:
     y: float
     text: str
-    words: list = field(default_factory=list)
+    left: list  # the words' left x, in reading order
+    texts: list  # the words' texts (stripped, non-empty), same order
+
+    @property
+    def words(self) -> list:
+        """The words as WordBoxes, built on each read: only table detection
+        reads them, for a few lines per document."""
+        return [WordBox(t, x, x + CHAR_WIDTH * len(t)) for x, t in zip(self.left, self.texts)]
 
 
 @dataclass(slots=True)
@@ -179,9 +200,7 @@ class PageLines:
 # HTML layout parsing (synthetic Common-Crawl-style page format)
 # ---------------------------------------------------------------------------
 
-_PAGE_DIV_RE = re.compile(
-    r'<div class="page" data-page="(\d+)" data-height="([\d.]+)">(.*?)</div>', re.S
-)
+_PAGE_HEAD_RE = re.compile(r'<div class="page" data-page="(\d+)" data-height="([\d.]+)">')
 _WORD_SPAN_RE = re.compile(
     r'<span class="w" style="left:([\d.]+)pt;top:([\d.]+)pt">([^<]*)</span>'
 )
@@ -189,7 +208,12 @@ _HREF_RE = re.compile(r'<a\s+href="([^"]*)"')
 
 
 def parse_layout(html: bytes) -> tuple[list, list]:
-    """Parse the synthetic page bytes into ((page_no, height, [(left, mid_y, text)]), hrefs).
+    """Parse the synthetic page bytes into ([(page_no, height, words)], hrefs).
+
+    ``words`` is the page's words as columns ``(left, mid_y, texts)``: two
+    float64 arrays and a list of str, in document order.  A page's body runs
+    from its ``<div class="page" ...>`` header to the first ``</div>`` after
+    it; a header with no ``</div>`` after it ends the pages.
 
     The analog of PdfPig's ``pdf.GetPages()`` / ``page.GetWords()`` feeding
     ``BuildLines`` (PdfToMarkdownConverter.cs:119-121, 283-304); hrefs are the
@@ -198,14 +222,22 @@ def parse_layout(html: bytes) -> tuple[list, list]:
     """
     text = html.decode("utf-8", errors="replace")
     pages = []
-    for m in _PAGE_DIV_RE.finditer(text):
-        number = int(m.group(1))
-        height = float(m.group(2))
-        words = [
-            (float(w.group(1)), float(w.group(2)), _unescape_html(w.group(3)))
-            for w in _WORD_SPAN_RE.finditer(m.group(3))
-        ]
-        pages.append((number, height, words))
+    m = _PAGE_HEAD_RE.search(text)
+    while m is not None:
+        start = m.end()
+        end = text.find("</div>", start)
+        if end < 0:
+            break
+        spans = _WORD_SPAN_RE.findall(text, start, end)
+        lefts, tops, raw = zip(*spans) if spans else ((), (), ())
+        texts = list(map(_unescape_html, raw)) if text.find("&", start, end) >= 0 else list(raw)
+        words = (
+            np.fromiter(map(float, lefts), np.float64, len(lefts)),
+            np.fromiter(map(float, tops), np.float64, len(tops)),
+            texts,
+        )
+        pages.append((int(m.group(1)), float(m.group(2)), words))
+        m = _PAGE_HEAD_RE.search(text, end + len("</div>"))
     hrefs = [_unescape_html(h) for h in _HREF_RE.findall(text)]
     return pages, hrefs
 
@@ -226,34 +258,37 @@ def _unescape_html(s: str) -> str:
 # P2: word -> line reconstruction (PdfToMarkdownConverter.cs:283-306)
 # ---------------------------------------------------------------------------
 
-def _round_to(value: float, tol: float) -> float:
-    # cs:306 — Math.Round uses banker's rounding, as does Python's round().
-    return round(value / tol) * tol
+def _round_to(value, tol: float):
+    # cs:306 — Math.Round uses banker's rounding, as does np.round (and
+    # Python's round()); elementwise over an array of values.
+    return np.round(value / tol) * tol
 
 
-def build_lines(page_no: int, height: float, words: list, y_tol: float) -> PageLines:
-    """Group word boxes into lines by quantized mid-Y; top-down, left-to-right.
+def build_lines(page_no: int, height: float, words: tuple, y_tol: float) -> PageLines:
+    """Group a page's words into lines by quantized mid-Y; top-down, left-to-right.
 
-    Mirrors BuildLines (PdfToMarkdownConverter.cs:283-304): group by
-    ``RoundTo(midY, tol)``, order groups by Y descending (stable), words by
-    Left ascending (stable), join with single spaces, drop empty words and
-    blank lines.
+    ``words`` are columns ``(left, mid_y, texts)`` as ``parse_layout`` and
+    ``engine.pdf.parse_pdf_layout`` emit them.  Mirrors BuildLines
+    (PdfToMarkdownConverter.cs:283-304): group by ``RoundTo(midY, tol)``,
+    order groups by Y descending, words by Left ascending (both stable, one
+    ``lexsort``), join with single spaces, drop empty words and blank lines.
     """
-    groups: dict = {}
-    for left, mid_y, text in words:
-        key = _round_to(mid_y, y_tol)
-        groups.setdefault(key, []).append((left, text))
+    left, mid_y, texts = words
     pl = PageLines(page_no, height)
-    for key in sorted(groups.keys(), reverse=True):
-        ws = []
-        for left, text in sorted(groups[key], key=lambda t: t[0]):
-            t = text.strip()
-            if not t:
-                continue
-            ws.append(WordBox(t, left, left + CHAR_WIDTH * len(t)))
-        line_text = " ".join(w.text for w in ws)
-        if line_text.strip():
-            pl.lines.append(Line(key, line_text, ws))
+    stripped = list(map(str.strip, texts))
+    kept = np.fromiter(map(bool, stripped), bool, len(stripped))
+    key = _round_to(mid_y, y_tol)
+    order = np.lexsort((left, -key))
+    order = order[kept[order]]
+    if not len(order):
+        return pl
+    key = key[order]
+    lefts = left[order].tolist()
+    ws = list(map(stripped.__getitem__, order.tolist()))
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(ws)]
+    for y, a, b in zip(key[bounds[:-1]].tolist(), bounds, bounds[1:]):
+        line_words = ws[a:b]
+        pl.lines.append(Line(y, " ".join(line_words), lefts[a:b], line_words))
     return pl
 
 
@@ -292,11 +327,12 @@ def is_noise(line: str, opt: ExtractOptions = DEFAULT_OPTIONS) -> bool:
     if not l:
         return False
     lcf = l.casefold()
-    if opt is DEFAULT_OPTIONS:  # fast path: precompiled combined alternation
-        for s in _NOISE_PREFIXES_CF:
-            if lcf.startswith(s):
-                return True
-        return _NOISE_COMBINED_RE.search(l) is not None
+    if opt is DEFAULT_OPTIONS:  # fast path: the same checks, precompiled
+        return (
+            lcf.startswith(_NOISE_PREFIXES_CF)
+            or _NOISE_ANCHORED_RE.match(l) is not None
+            or _NOISE_UNANCHORED_RE.search(l) is not None
+        )
     for s in opt.noise_starts_with:
         if lcf.startswith(s.casefold()):
             return True
@@ -320,8 +356,15 @@ def escape_md(s: str) -> str:
 # P5: header + title parsing (PdfToMarkdownConverter.cs:406-633)
 # ---------------------------------------------------------------------------
 
+_KEY_ROW_RES = {
+    key: re.compile(r"(?i)^" + re.escape(key) + r"\s*:")
+    for key in ("Document No.", "Page", "Effective Date", "Revision",
+                "Accountable Organization", "Management Approval")
+}
+
+
 def _index_of_key(lines: list, key: str) -> int:
-    rx = re.compile(r"(?i)^" + re.escape(key) + r"\s*:")
+    rx = _KEY_ROW_RES[key]
     for i, s in enumerate(lines):
         if rx.match(s):
             return i
@@ -818,7 +861,6 @@ def extract_from_path(path: str, url: str | None = None, opt: ExtractOptions = D
     if url is None:
         stem = path.rsplit("/", 1)[-1]
         stem = stem.rsplit(".", 1)[0] if "." in stem else stem
-        url = f"file:///{stem or 'document'}"
         # extract_document derives the logical name from the url path
         return extract_document(data, f"https://local/{stem or 'document'}", opt)
     return extract_document(data, url, opt)
@@ -837,21 +879,25 @@ def extract_from_stream(stream, url: str = "https://local/document", opt: Extrac
     return extract_document(data, url, opt)
 
 
+def page_layout(payload: bytes) -> tuple[list, list]:
+    """Payload sniffing: ``%PDF-`` bytes take the from-scratch PDF word-box
+    reader (``engine.pdf.parse_pdf_layout``); anything else takes the HTML
+    layout parser.  Both return ``([(page_no, height, words)], hrefs)`` with
+    the words as columns, so a corpus may mix encodings row by row."""
+    if payload.startswith(b"%PDF-"):
+        from .pdf import parse_pdf_layout
+
+        return parse_pdf_layout(payload)
+    return parse_layout(payload)
+
+
 def extract_document(html: bytes, url: str, opt: ExtractOptions = DEFAULT_OPTIONS) -> dict:
     """Pure per-row extraction: bytes -> markdown + header struct + title + raw hrefs.
 
-    Deterministic in (html, url, opt); safe under Ray task retries.
-    Payload sniffing: ``%PDF-`` bytes take the from-scratch PDF word-box
-    reader (``engine.pdf``); anything else takes the HTML layout parser.
-    Both feed the identical downstream pipeline, so a corpus may mix
-    encodings row by row.
+    Deterministic in (html, url, opt); safe under Ray task retries.  Either
+    payload (``page_layout``) feeds the identical downstream pipeline.
     """
-    if html.startswith(b"%PDF-"):
-        from .pdf import parse_pdf_layout
-
-        raw_pages, hrefs = parse_pdf_layout(html)
-    else:
-        raw_pages, hrefs = parse_layout(html)
+    raw_pages, hrefs = page_layout(html)
     pages = [
         build_lines(num, h, words, opt.line_y_tolerance) for num, h, words in raw_pages
     ]

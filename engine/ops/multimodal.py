@@ -787,7 +787,7 @@ class PdfImageStage:
         for mid, payload in zip(batch["media_id"].to_pylist(),
                                 batch["payload"].to_pylist()):
             pages, _ = parse_pdf_layout(payload)
-            nw = sum(len(p[2]) for p in pages)
+            nw = sum(len(texts) for _n, _h, (_x, _y, texts) in pages)
             for img in extract_pdf_images(payload):
                 if img["filter"] == "DCTDecode":
                     px = decode_jpeg(img["payload"])

@@ -11,8 +11,8 @@ of ISO 32000 the pipeline needs, from scratch:
   with literal-string escapes (``\\( \\) \\\\ \\n`` + octal), and
   ``/Annots`` link annotations (``/Subtype /Link /A << /S /URI /URI (..)``)
   as the href source — the PdfPig ``GetWords()`` analog emitting
-  ``(page_no, height, [(left, mid_y, text)])`` straight into the shared
-  ``engine.extract.build_lines`` pipeline.
+  ``(page_no, height, (left, mid_y, texts))`` word columns straight into the
+  shared ``engine.extract.build_lines`` pipeline.
 - **writer** (``render_pdf_page_bytes``): a valid single-file PDF 1.4 with a
   correct xref table, one ``Tm``-positioned ``Tj`` per word, link annots on
   the last page — the PDF twin of ``engine.synth``'s HTML layout encoding.
@@ -33,6 +33,9 @@ from __future__ import annotations
 
 import re
 import zlib
+from itertools import chain
+
+import numpy as np
 
 from .extract import CHAR_WIDTH
 
@@ -651,9 +654,17 @@ def _extract_stream(cbody: bytes):
     return em.group(1) if em else None
 
 
+# One token after optional whitespace: a number, a name, a bracket, an
+# operator, or a literal string with no escape and no nested paren.  Every
+# other position (hex strings, << >>, escaped or nested literals, unknown
+# bytes) falls back to the per-position code in _parse_content.
 _CONTENT_TOKEN_RE = re.compile(
-    rb"(" + _NUM + rb")|(/[^\s/\[\]()<>]+)|(\[|\])|(BT|ET|Tf|Td|TD|Tm|TL|T\*|Tj|TJ|Tc|Tw|Tz|q|Q|cm|re|[fWnS])"
+    rb"\s*(?:(" + _NUM + rb")|(/[^\s/\[\]()<>]+)|(\[|\])"
+    rb"|(BT|ET|Tf|Td|TD|Tm|TL|T\*|Tj|TJ|Tc|Tw|Tz|q|Q|cm|re|[fWnS])|\(([^()\\]*)\))"
 )
+_NUM_TOKEN, _NAME_TOKEN, _BRACKET_TOKEN, _STRING_TOKEN = 1, 2, 3, 5  # group 4: operator
+
+_NO_WORDS = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64), [])
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -676,8 +687,9 @@ def _translate(tx: float, ty: float) -> tuple:
     return (1.0, 0.0, 0.0, 1.0, tx, ty)
 
 
-def _parse_content(stream: bytes) -> list:
-    """Text ops -> word boxes [(left, mid_y, text)] (one per whitespace word).
+def _parse_content(stream: bytes) -> tuple:
+    """Text ops -> the words as columns ``(left, mid_y, texts)``: two float64
+    arrays and a list, one entry per whitespace word.
 
     Position state per ISO 32000 9.4.2: Td/TD translate the LINE matrix, Tm
     sets it absolutely, T* advances by the leading; Tj/TJ emit at the text
@@ -691,8 +703,11 @@ def _parse_content(stream: bytes) -> list:
     ``q``/``Q`` push/pop (ctm, Tc, Tw, Tz).  Rotation components flow through
     the matrix math but downstream line-building assumes upright text (the
     reference's PdfPig path has the same practical assumption).
+
+    Tokenizing: one ``_CONTENT_TOKEN_RE`` match per token; a position it
+    does not match takes the per-position branch below.
     """
-    words = []
+    xs, ys, texts = [], [], []
     i = 0
     n = len(stream)
     stack: list = []  # operand stack: numbers, names, strings, arrays
@@ -712,46 +727,52 @@ def _parse_content(stream: bytes) -> list:
         for piece in s.split(" "):
             if piece:
                 trm = _mat_mult(tm, ctm)
-                words.append((trm[4], trm[5], piece))
+                xs.append(trm[4])
+                ys.append(trm[5])
+                texts.append(piece)
                 tm = _mat_mult(_translate(adv_char * len(piece), 0.0), tm)
             tm = _mat_mult(_translate(adv_space, 0.0), tm)
 
     while i < n:
-        c = stream[i : i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"(":
-            s, i = _read_literal_string(stream, i)
-            (in_array if in_array is not None else stack).append(s)
-            continue
-        if c == b"<":
-            if stream[i + 1 : i + 2] == b"<":  # inline dict (e.g. BDC): skip open
+        m = _CONTENT_TOKEN_RE.match(stream, i)
+        if m is None:
+            c = stream[i : i + 1]
+            if c.isspace():
+                i += 1
+                continue
+            if c == b"(":
+                s, i = _read_literal_string(stream, i)
+                (in_array if in_array is not None else stack).append(s)
+                continue
+            if c == b"<":
+                if stream[i + 1 : i + 2] == b"<":  # inline dict (e.g. BDC): skip open
+                    i += 2
+                    continue
+                s, i = _read_hex_string(stream, i)
+                (in_array if in_array is not None else stack).append(s)
+                continue
+            if c == b">" and stream[i + 1 : i + 2] == b">":  # inline dict close
                 i += 2
                 continue
-            s, i = _read_hex_string(stream, i)
-            (in_array if in_array is not None else stack).append(s)
-            continue
-        if c == b">" and stream[i + 1 : i + 2] == b">":  # inline dict close
-            i += 2
-            continue
-        m = _CONTENT_TOKEN_RE.match(stream, i)
-        if not m:
             i += 1  # unknown byte: skip (defensive; real files stay in-grammar)
             continue
         i = m.end()
-        num, name, bracket, op = m.group(1), m.group(2), m.group(3), m.group(4)
-        if num is not None:
-            (in_array if in_array is not None else stack).append(float(num))
-        elif name is not None:
-            stack.append(name.decode("latin-1"))
-        elif bracket == b"[":
-            in_array = []
-        elif bracket == b"]":
-            stack.append(in_array)
-            in_array = None
-        elif op is not None:
-            o = op.decode("latin-1")
+        kind = m.lastindex
+        if kind == _NUM_TOKEN:
+            (in_array if in_array is not None else stack).append(float(m[1]))
+        elif kind == _STRING_TOKEN:
+            s = m[5].decode("utf-8", errors="replace")
+            (in_array if in_array is not None else stack).append(s)
+        elif kind == _NAME_TOKEN:
+            stack.append(m[2].decode("latin-1"))
+        elif kind == _BRACKET_TOKEN:
+            if m[3] == b"[":
+                in_array = []
+            else:
+                stack.append(in_array)
+                in_array = None
+        else:  # operator
+            o = m[4].decode("latin-1")
             if o == "Td" and len(stack) >= 2:
                 ty, tx = stack.pop(), stack.pop()
                 tm = tlm = _mat_mult(_translate(tx, ty), tlm)
@@ -812,7 +833,7 @@ def _parse_content(stream: bytes) -> list:
                 stack = []
             else:
                 stack = []  # Tf/re/f/W/n/S: operands consumed, no-op
-    return words
+    return (np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64), texts)
 
 
 def _contents_refs(page_body: bytes) -> list:
@@ -845,11 +866,14 @@ def _page_annot_uris(objs: dict, page_body: bytes) -> list:
 
 
 def parse_pdf_layout(data: bytes) -> tuple[list, list]:
-    """PDF bytes -> ((page_no, height, [(left, mid_y, text)]) per page, hrefs).
+    """PDF bytes -> ([(page_no, height, words)], hrefs).
 
-    Drop-in twin of ``engine.extract.parse_layout`` for ``%PDF-`` payloads:
-    the output feeds the same build_lines -> convert_pages_to_markdown
-    pipeline byte-identically.
+    ``words`` is the page's words as columns ``(left, mid_y, texts)``: two
+    float64 arrays and a list, in content-stream order, the parts of a
+    ``/Contents`` array one after another.  Drop-in twin of
+    ``engine.extract.parse_layout`` for ``%PDF-`` payloads: the output feeds
+    the same build_lines -> convert_pages_to_markdown pipeline
+    byte-identically.
     """
     if not data.startswith(b"%PDF-"):
         raise ValueError("not a PDF: missing %PDF- header")
@@ -897,7 +921,7 @@ def parse_pdf_layout(data: bytes) -> tuple[list, list]:
     pages, hrefs = [], []
     for page_no, (kr, height) in enumerate(kid_refs, 1):
         body = objs[kr]
-        words = []
+        parts = [_NO_WORDS]
         for contents_ref in _contents_refs(body):
             cbody = objs.get(contents_ref)
             if cbody is None:
@@ -910,7 +934,9 @@ def parse_pdf_layout(data: bytes) -> tuple[list, list]:
             # XObject mislinked as contents) is ignored, not a document abort
             decoded = _decode_stream(dict_part, raw, skip_images=True)
             if decoded is not None:
-                words.extend(_parse_content(decoded))
+                parts.append(_parse_content(decoded))
+        left, mid_y, texts = zip(*parts)
+        words = (np.concatenate(left), np.concatenate(mid_y), list(chain.from_iterable(texts)))
         pages.append((page_no, height, words))
         hrefs.extend(_page_annot_uris(objs, body))
     return pages, hrefs

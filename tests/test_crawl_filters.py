@@ -108,11 +108,19 @@ def test_job_config_missing_key(tmp_path):
         load_job_config(str(p))
 
 
-def test_precount_matches_full_crawl(small_corpus, tmp_path):
-    """S3 analog: links-only pre-count == the full crawl's fetched total."""
-    from engine.crawl import crawl, precount
+@pytest.mark.parametrize("encoding", ["html", "pdf_flate"])
+def test_precount_matches_full_crawl(encoding, small_corpus, tmp_path):
+    """S3 analog: links-only pre-count == the full crawl's fetched total, on
+    either payload encoding (the links of a PDF come from its annotations)."""
+    import dataclasses
 
-    corpus_dir, _cfg = small_corpus
+    from engine.crawl import crawl, precount
+    from engine.synth import generate_corpus
+
+    corpus_dir, cfg = small_corpus
+    if encoding != cfg.encoding:
+        corpus_dir = generate_corpus(str(tmp_path / "corpus"),
+                                     dataclasses.replace(cfg, encoding=encoding), use_ray=False)
     budget = {"max_urls_total": 150, "max_per_host_per_round": 5, "max_depth": 4, "max_rounds": 6}
     n = precount(corpus_dir, budget)
     full = crawl(corpus_dir, str(tmp_path / "ckpt"), budget)

@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
+import pytest
+
 from engine.extract import (
     CHAR_WIDTH,
     Line,
     PageLines,
-    WordBox,
     _round_to,
     _should_merge,
     build_lines,
@@ -26,14 +28,13 @@ from engine.extract import (
 )
 
 
-def _line(text, y=700.0, words=None):
-    if words is None:
-        words = []
-        x = 72.0
-        for w in text.split():
-            words.append(WordBox(w, x, x + CHAR_WIDTH * len(w)))
-            x = words[-1].right + 4.0
-    return Line(y, text, words)
+def _line(text, y=700.0):
+    left = []
+    x = 72.0
+    for w in text.split():
+        left.append(x)
+        x += CHAR_WIDTH * len(w) + 4.0
+    return Line(y, text, left, text.split())
 
 
 def _page(texts, number=1):
@@ -51,14 +52,15 @@ def test_round_to_bankers():
 
 
 def test_build_lines_grouping_and_order():
-    words = [
+    rows = [
         (120.0, 700.0, "world"),
         (72.0, 700.6, "hello"),   # same quantized line (700.6/2 -> 350.3 -> 350 -> 700)
         (72.0, 650.0, "below"),
         (72.0, 720.0, "top"),
         (90.0, 650.0, "  "),      # whitespace word dropped
     ]
-    pl = build_lines(1, 792.0, words, 2.0)
+    left, mid_y, texts = zip(*rows)
+    pl = build_lines(1, 792.0, (np.array(left), np.array(mid_y), list(texts)), 2.0)
     assert [l.text for l in pl.lines] == ["top", "hello world", "below"]
     assert pl.lines[1].words[0].text == "hello"
     assert pl.lines[1].words[0].right == 72.0 + CHAR_WIDTH * 5
@@ -227,8 +229,7 @@ def test_header_empty_page():
 
 def _table_line(cells, y):
     # cells: list of (anchor_x, word) tuples
-    words = [WordBox(w, x, x + CHAR_WIDTH * len(w)) for x, w in cells]
-    return Line(y, " ".join(w.text for w in words), words)
+    return Line(y, " ".join(w for _x, w in cells), [x for x, _w in cells], [w for _x, w in cells])
 
 
 def test_table_extraction_with_wrapped_row():
@@ -329,3 +330,35 @@ def test_extract_document_deterministic_and_layout_roundtrip(small_corpus):
         pages, hrefs = parse_layout(html)
         assert len(pages) >= 1
         assert d1["markdown"].endswith("\n")
+
+
+# Digests of extract_document over two seeded corpora, computed before the
+# extractor went columnar: any change to markdown, title, header fields or
+# hrefs, on either payload path, changes them.
+_PINNED_DIGESTS = {
+    "html": (300, 4, "87c520e707c9089dc3b81be225750a64ee4263ef596756625a9a92275b404935"),
+    "pdf_flate": (200, 2, "1cb89e438b036ae103719a332ce0a9e4723a9fdd23c5bc61021eecf62d8513aa"),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(_PINNED_DIGESTS))
+def test_extract_document_pinned_digest(encoding):
+    import hashlib
+    import json
+
+    from engine.synth import CorpusConfig, build_assignment, build_page_html, build_page_pdf, url_of
+
+    n, scale, expected = _PINNED_DIGESTS[encoding]
+    cfg = CorpusConfig(n_pages=n, n_hosts=12, seed=9091, with_golden=False,
+                       content_scale=scale, encoding=encoding)
+    assign = build_assignment(cfg)
+    h = hashlib.sha256()
+    for rid in range(n):
+        url = url_of(rid, assign)
+        if encoding == "html":
+            payload = build_page_html(rid, cfg, assign).encode("utf-8")
+        else:
+            payload = build_page_pdf(rid, cfg, assign, compress=True)
+        d = extract_document(payload, url)
+        h.update(json.dumps([url, d], sort_keys=True).encode("utf-8"))
+    assert h.hexdigest() == expected

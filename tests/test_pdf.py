@@ -10,6 +10,18 @@ import numpy as np
 import pytest
 
 
+def _rows(words):
+    """A page's word columns (left, mid_y, texts) as (left, mid_y, text) rows."""
+    left, mid_y, texts = words
+    return list(zip(left.tolist(), mid_y.tolist(), texts))
+
+
+def _layout_rows(layout):
+    """parse_pdf_layout output with each page's words as rows."""
+    pages, hrefs = layout
+    return [(n, h, _rows(words)) for n, h, words in pages], hrefs
+
+
 # ---------------------------------------------------------------- reader unit
 
 def test_content_stream_operators():
@@ -26,7 +38,7 @@ def test_content_stream_operators():
 1 0 0 1 72.0 600.0 Tm (TopC) Tj
 T* (NextC) Tj
 ET"""
-    words = _parse_content(stream)
+    words = _rows(_parse_content(stream))
     d = {w: (x, y) for x, y, w in words}
     assert d["Hello"] == (72.0, 700.0)
     assert d["World"] == (120.0, 700.0)
@@ -36,7 +48,7 @@ ET"""
     assert d["TopC"] == (72.0, 600.0)
     assert d["NextC"] == (72.0, 586.0)  # T* moved down by the 14 leading
 
-    tj = _parse_content(b"BT 1 0 0 1 10.0 20.0 Tm [(ab) -500 (cd)] TJ ET")
+    tj = _rows(_parse_content(b"BT 1 0 0 1 10.0 20.0 Tm [(ab) -500 (cd)] TJ ET"))
     assert tj[0] == (10.0, 20.0, "ab")
     # after "ab": x = 10 + CHAR_WIDTH*3, then kerning -(-500)/1000*CHAR_WIDTH*2
     assert tj[1][2] == "cd"
@@ -70,7 +82,7 @@ def test_writer_reader_roundtrip_boxes_and_hrefs():
     data = render_pdf_page_bytes(pages, hrefs)
     assert data.startswith(b"%PDF-1.4")
     assert data.rstrip().endswith(b"%%EOF")
-    got_pages, got_hrefs = parse_pdf_layout(data)
+    got_pages, got_hrefs = _layout_rows(parse_pdf_layout(data))
     assert got_hrefs == hrefs
     assert [(n, h) for n, h, _ in got_pages] == [(1, 792.0), (2, 792.0)]
     assert got_pages[0][2] == pages[0][2]
@@ -90,12 +102,12 @@ def test_flate_writer_reader_roundtrip():
     data = render_pdf_page_bytes(pages, hrefs, compress=True)
     assert b"/FlateDecode" in data
     assert b"Alpha" not in data  # text really is compressed
-    got_pages, got_hrefs = parse_pdf_layout(data)
+    got_pages, got_hrefs = _layout_rows(parse_pdf_layout(data))
     assert got_hrefs == hrefs
     assert got_pages[0][2] == pages[0][2]
     assert got_pages[1][2] == pages[1][2]
     # compressed and uncompressed encodings parse identically
-    plain_pages, plain_hrefs = parse_pdf_layout(render_pdf_page_bytes(pages, hrefs))
+    plain_pages, plain_hrefs = _layout_rows(parse_pdf_layout(render_pdf_page_bytes(pages, hrefs)))
     assert (got_pages, got_hrefs) == (plain_pages, plain_hrefs)
 
 
@@ -117,19 +129,19 @@ def test_image_stream_skipped_not_raised():
     from engine.pdf import parse_pdf_layout
 
     # image-only contents: document extracts with zero words
-    pages, hrefs = parse_pdf_layout(_one_page_pdf(
+    pages, hrefs = _layout_rows(parse_pdf_layout(_one_page_pdf(
         b"4 0 obj\n<< /Length 2 /Filter /DCTDecode >>\nstream\nxx\nendstream\nendobj\n",
         b"4 0 R",
-    ))
+    )))
     assert pages == [(1, 792.0, [])] and hrefs == []
 
     # mixed contents ARRAY: the text part extracts, the image part is skipped
     text = b"BT 1 0 0 1 72.0 700.0 Tm (Hello) Tj ET"
-    pages, _ = parse_pdf_layout(_one_page_pdf(
+    pages, _ = _layout_rows(parse_pdf_layout(_one_page_pdf(
         b"4 0 obj\n<< /Length %d >>\nstream\n" % len(text) + text + b"\nendstream\nendobj\n"
         b"5 0 obj\n<< /Length 2 /Filter /CCITTFaxDecode >>\nstream\nxx\nendstream\nendobj\n",
         b"[4 0 R 5 0 R]",
-    ))
+    )))
     assert pages == [(1, 792.0, [(72.0, 700.0, "Hello")])]
 
     # a non-image unsupported filter keeps the honest boundary
@@ -148,9 +160,9 @@ def test_hex_strings():
     assert _read_hex_string(b"<48656C6C6F>", 0) == ("Hello", 12)
     assert _read_hex_string(b"<48 65 6C\n6C 6F>", 0)[0] == "Hello"
     assert _read_hex_string(b"<5>", 0)[0] == "P"  # odd digit -> 0x50
-    words = _parse_content(b"BT 1 0 0 1 10.0 20.0 Tm <48656C6C6F> Tj ET")
+    words = _rows(_parse_content(b"BT 1 0 0 1 10.0 20.0 Tm <48656C6C6F> Tj ET"))
     assert words == [(10.0, 20.0, "Hello")]
-    arr = _parse_content(b"BT 1 0 0 1 0.0 0.0 Tm [<4142> (cd)] TJ ET")
+    arr = _rows(_parse_content(b"BT 1 0 0 1 0.0 0.0 Tm [<4142> (cd)] TJ ET"))
     assert [w for _, _, w in arr] == ["AB", "cd"]
 
 
@@ -246,19 +258,19 @@ def test_text_state_spacing_operators():
     from engine.pdf import _parse_content
 
     # baseline: two words, advance = CHAR_WIDTH * (len + 1 space)
-    base = _parse_content(b"BT 1 0 0 1 0 0 Tm (ab cd) Tj ET")
+    base = _rows(_parse_content(b"BT 1 0 0 1 0 0 Tm (ab cd) Tj ET"))
     assert base[1][0] == CHAR_WIDTH * 3
 
     # Tc 2: each char advance grows by 2 -> second word at (CW+2)*3
-    tc = _parse_content(b"BT 2 Tc 1 0 0 1 0 0 Tm (ab cd) Tj ET")
+    tc = _rows(_parse_content(b"BT 2 Tc 1 0 0 1 0 0 Tm (ab cd) Tj ET"))
     assert tc[1][0] == (CHAR_WIDTH + 2) * 3
 
     # Tw 5: only the space advance grows
-    tw = _parse_content(b"BT 5 Tw 1 0 0 1 0 0 Tm (ab cd) Tj ET")
+    tw = _rows(_parse_content(b"BT 5 Tw 1 0 0 1 0 0 Tm (ab cd) Tj ET"))
     assert tw[1][0] == CHAR_WIDTH * 3 + 5
 
     # Tz 50: all horizontal advances halve
-    tz = _parse_content(b"BT 50 Tz 1 0 0 1 0 0 Tm (ab cd) Tj ET")
+    tz = _rows(_parse_content(b"BT 50 Tz 1 0 0 1 0 0 Tm (ab cd) Tj ET"))
     assert tz[1][0] == CHAR_WIDTH * 3 / 2
 
 
@@ -267,15 +279,15 @@ def test_cm_ctm_composition_and_qQ():
     from engine.pdf import _parse_content
 
     # translate CTM by (100, 50): Tm-positioned text shifts by it
-    words = _parse_content(
+    words = _rows(_parse_content(
         b"1 0 0 1 100 50 cm BT 1 0 0 1 10 20 Tm (A) Tj ET"
-    )
+    ))
     assert words[0][:2] == (110.0, 70.0)
 
     # scale-then-translate composition: cm S then cm T -> point*S then +T
-    words = _parse_content(
+    words = _rows(_parse_content(
         b"2 0 0 2 0 0 cm 1 0 0 1 7 9 cm BT 1 0 0 1 10 20 Tm (A) Tj ET"
-    )
+    ))
     # tm(10,20) x (T x S ... composition order: second cm pre-multiplies)
     # ctm = T x S_prior: x' = (10 + 7*... ) -- verify against manual algebra
     from engine.pdf import _IDENTITY, _mat_mult
@@ -285,10 +297,10 @@ def test_cm_ctm_composition_and_qQ():
     assert words[0][:2] == (exp[4], exp[5])
 
     # q/Q: the inner cm is discarded after Q
-    words = _parse_content(
+    words = _rows(_parse_content(
         b"q 1 0 0 1 500 500 cm BT 1 0 0 1 1 2 Tm (IN) Tj ET Q "
         b"BT 1 0 0 1 3 4 Tm (OUT) Tj ET"
-    )
+    ))
     d = {w: (x, y) for x, y, w in words}
     assert d["IN"] == (501.0, 502.0)
     assert d["OUT"] == (3.0, 4.0)
@@ -354,8 +366,8 @@ def test_alt_filter_writer_reader_roundtrip(flt):
     hrefs = ["https://a.test/x.html", "https://b.test/y.html"]
     data = render_pdf_page_bytes(pages, hrefs, stream_filter=flt)
     assert b"/" + flt.encode() in data
-    got = parse_pdf_layout(data)
-    plain = parse_pdf_layout(render_pdf_page_bytes(pages, hrefs))
+    got = _layout_rows(parse_pdf_layout(data))
+    plain = _layout_rows(parse_pdf_layout(render_pdf_page_bytes(pages, hrefs)))
     assert got == plain
     assert got[1] == hrefs
 
@@ -386,8 +398,8 @@ def test_xref_stream_layout_roundtrip():
     assert sum(b"/Type /Page " in b or b"/Type /Page\n" in b or b"/Type /Page>" in b
                or b"/Type /Page /" in b for b in objs.values()) >= 1
 
-    got = parse_pdf_layout(xs)
-    want = parse_pdf_layout(render_pdf_page_bytes(pages, hrefs))
+    got = _layout_rows(parse_pdf_layout(xs))
+    want = _layout_rows(parse_pdf_layout(render_pdf_page_bytes(pages, hrefs)))
     assert got == want
 
 
@@ -428,7 +440,7 @@ def test_xref_stream_incremental_update():
             % (size, size + 1, content_num, old_xref_pos, len(xp))
             + xp + b"\nendstream\nendobj\nstartxref\n%d\n%%%%EOF\n" % xref_pos)
 
-    got_pages, _ = parse_pdf_layout(bytes(out))
+    got_pages, _ = _layout_rows(parse_pdf_layout(bytes(out)))
     words = [w for _x, _y, w in got_pages[0][2]]
     assert words == ["updated"], words
 
@@ -455,7 +467,7 @@ def test_nested_page_tree():
         + content(6, b"one") + content(7, b"two") + content(8, b"three")
         + b"%%EOF\n"
     )
-    pages, _ = parse_pdf_layout(data)
+    pages, _ = _layout_rows(parse_pdf_layout(data))
     assert [(n, h, [w for _x, _y, w in ws]) for n, h, ws in pages] == [
         (1, 792.0, ["one"]), (2, 600.0, ["two"]), (3, 500.0, ["three"])
     ]
@@ -511,7 +523,7 @@ def test_pdf_image_xobjects_roundtrip():
         assert (decode_jpeg(dct["payload"]) == decode_jpeg(jpg)).all()
         flat = next(i for i in imgs if i["filter"] is None)
         assert flat["payload"] == raw.tobytes()
-        lay, hrefs = parse_pdf_layout(pdf)
+        lay, hrefs = _layout_rows(parse_pdf_layout(pdf))
         assert [w for (_x, _y, w) in lay[0][2]] == ["Img", "page"]
         assert hrefs == ["https://t.test/i"]
 
@@ -658,14 +670,14 @@ def test_encrypted_pdf_literal_string_file_id():
 
     pages = [(1, 792.0, [(72.0, 700.0, "Hello"), (120.0, 700.0, "World")])]
     hrefs = ["https://example.com/a"]
-    plain = parse_pdf_layout(render_pdf_page_bytes(pages, hrefs))
+    plain = _layout_rows(parse_pdf_layout(render_pdf_page_bytes(pages, hrefs)))
     for mode in ("rc4-40", "rc4-128", "aes-128"):
         data = render_pdf_page_bytes(pages, hrefs, encrypt=mode)
         m = re.search(rb"/ID \[<([0-9a-f]+)> <([0-9a-f]+)>\]", data)
         fid = bytes.fromhex(m.group(1).decode("ascii"))
         lit = _octal_literal(fid, {8: b"\\\r\n"})
         data_lit = data[: m.start()] + b"/ID [" + lit + b" " + lit + b"]" + data[m.end():]
-        assert parse_pdf_layout(data_lit) == plain, mode
+        assert _layout_rows(parse_pdf_layout(data_lit)) == plain, mode
 
 
 def test_encrypted_pdf_layout_identical_all_modes():
@@ -676,14 +688,14 @@ def test_encrypted_pdf_layout_identical_all_modes():
     pages = [(1, 792.0, [(72.0, 700.0, "Hello"), (120.0, 700.0, "World")]),
              (2, 792.0, [(72.0, 650.0, "Twin"), (150.0, 650.0, "Doc")])]
     hrefs = ["https://example.com/a", "https://example.com/b(c)"]
-    plain = parse_pdf_layout(render_pdf_page_bytes(pages, hrefs))
+    plain = _layout_rows(parse_pdf_layout(render_pdf_page_bytes(pages, hrefs)))
     for mode in ("rc4-40", "rc4-128", "aes-128", "aes-256"):
         for xs in (False, True):
             for filt in (None, "FlateDecode"):
                 data = render_pdf_page_bytes(
                     pages, hrefs, stream_filter=filt, xref_stream=xs,
                     encrypt=mode)
-                assert parse_pdf_layout(data) == plain, (mode, xs, filt)
+                assert _layout_rows(parse_pdf_layout(data)) == plain, (mode, xs, filt)
                 assert data == render_pdf_page_bytes(
                     pages, hrefs, stream_filter=filt, xref_stream=xs,
                     encrypt=mode)
