@@ -43,8 +43,9 @@ each step hands the driver loop one small record:
          allocation-heavy Python — see BENCH/BASELINE.md): concat the
          bucket's feeds, fetch_bucket_group (an Arrow left join against
          pages/bucket=K/) once per distinct ``wait_s``, each group after its
-         offset from the round's fetch start -> extract_batch_fn -> the
-         bucket's docs/round=R part and its children explode part in
+         offset from the round's fetch start -> extract_batch_fn (the feed's
+         columns pass through; one row loop extracts) -> the bucket's
+         docs/round=R part and its children explode part in
          round=R/frontier_children/; the task returns its miss rows.  The
          driver collects them and writes the docs manifest, also for a round
          that fetches nothing.
@@ -252,42 +253,20 @@ def fetch_bucket_group(group: pa.Table, pages_dir: str) -> pa.Table:
 
 
 def extract_batch_fn(batch: pa.Table, max_depth: int, with_markdown: bool = True) -> pa.Table:
-    """Per-row extraction + link canonicalization (pure; safe under retries).
+    """One fetched feed -> its docs table (pure; safe under retries).
 
-    Column-wise bulk conversion up front; the only per-row Python is the
-    extraction itself (inherently per-document).  ``with_markdown=False`` is
-    the pre-count mode (SURVEY.md §2.1 S3, ``CountDocumentsAsync``): links
-    only, no markdown build."""
-    urls_l = batch["url"].to_pylist()
-    htmls_l = batch["html"].to_pylist()
-    fseq_l = batch["fetch_seq"].to_pylist()
-    round_l = batch["round"].to_pylist()
-    depth_l = batch["depth"].to_pylist()
-    prio_l = batch["priority"].to_pylist()
-    retry_l = batch["retry"].to_pylist()
-    out = {k: [] for k in (
-        "url", "fetch_seq", "round", "depth", "priority", "retry",
-        "status", "markdown", "title", "header_doc", "metadata", "links",
-    )}
-    for i in range(batch.num_rows):
-        url = urls_l[i]
-        html = htmls_l[i]
-        out["url"].append(url)
-        out["fetch_seq"].append(fseq_l[i])
-        out["round"].append(round_l[i])
-        depth = depth_l[i]
-        out["depth"].append(depth)
-        out["priority"].append(prio_l[i])
-        out["retry"].append(retry_l[i])
-        if html is None:
-            out["status"].append("miss")
-            out["markdown"].append(None)
-            out["title"].append(None)
-            out["header_doc"].append(None)
-            out["metadata"].append([])
-            out["links"].append([])
-            continue
-        if with_markdown:
+    The feed's columns pass through, cast to their ``DOCS_SCHEMA`` types:
+    ``status`` is whether ``html`` is null, ``last_modified`` is ``warc_ts``.
+    One loop over (url, html, depth) computes the per-document values.  A
+    miss row and a ``with_markdown=False`` row (the pre-count mode, SURVEY.md
+    §2.1 S3, ``CountDocumentsAsync``) get no markdown; a miss has no links."""
+    html_col = batch["html"]
+    markdown, title, header_doc, metadata, links_col, etags = [], [], [], [], [], []
+    for url, html, depth in zip(
+        batch["url"].to_pylist(), html_col.to_pylist(), batch["depth"].to_pylist()
+    ):
+        d, meta, hrefs = {}, [], ()
+        if html is not None and with_markdown:
             d = extract_document(html, url)
             hrefs = d["hrefs"]
             # open metadata map: all parsed header fields, string-typed,
@@ -298,9 +277,7 @@ def extract_batch_fn(batch: pa.Table, max_depth: int, with_markdown: bool = True
                 for k in ("doc", "eff", "rev", "org", "appr", "src")
                 if d.get(f"header_{k}") is not None
             ]
-        else:
-            d = {"markdown": None, "title": None, "header_doc": None}
-            meta = []
+        elif html is not None:
             _pages, hrefs = page_layout(html)
         links = []
         if depth < max_depth:
@@ -322,27 +299,18 @@ def extract_batch_fn(batch: pa.Table, max_depth: int, with_markdown: bool = True
                         "url_hash": url_hash64(cu),
                     }
                 )
-        out["status"].append("hit")
-        out["markdown"].append(d["markdown"])
-        out["title"].append(d["title"])
-        out["header_doc"].append(d["header_doc"])
-        out["metadata"].append(meta)
-        out["links"].append(links)
-    cols = {
-        name: pa.array(vals, DOCS_SCHEMA.field(name).type) for name, vals in out.items()
-    }
-    # change-detection columns ride along column-wise: url_hash from the
-    # frontier row, etag = content hash, last_modified = the page's warc_ts
-    cols["url_hash"] = batch["url_hash"].combine_chunks()
-    cols["etag"] = pa.array(
-        [None if h is None else _etag(h) for h in htmls_l], pa.string()
-    )
-    cols["last_modified"] = (
-        batch["warc_ts"].combine_chunks().cast(pa.timestamp("us"))
-        if "warc_ts" in batch.column_names
-        else pa.nulls(batch.num_rows, pa.timestamp("us"))
-    )
-    return pa.table({f.name: cols[f.name] for f in DOCS_SCHEMA}, schema=DOCS_SCHEMA)
+        markdown.append(d.get("markdown"))
+        title.append(d.get("title"))
+        header_doc.append(d.get("header_doc"))
+        metadata.append(meta)
+        links_col.append(links)
+        etags.append(None if html is None else _etag(html))
+    cols = {name: batch[name] for name in
+            ("url", "fetch_seq", "round", "depth", "priority", "retry", "url_hash")}
+    cols.update(status=pc.if_else(pc.is_null(html_col), "miss", "hit"),
+                last_modified=batch["warc_ts"], markdown=markdown, title=title,
+                header_doc=header_doc, metadata=metadata, links=links_col, etag=etags)
+    return pa.table(cols, schema=DOCS_SCHEMA)  # casts each column to its field's type
 
 
 def explode_links_batch(t: pa.Table) -> pa.Table:
@@ -601,8 +569,10 @@ _CHG_SCHEMA = pa.schema(
 )
 
 
-def detect_corpus_delta(corpus_dir: str, ckpt_dir: str,
-                        n_buckets: int = 64) -> tuple:
+_DELTA_BUCKETS = 64  # url_hash buckets of the change-detection shuffle
+
+
+def detect_corpus_delta(corpus_dir: str, ckpt_dir: str) -> tuple:
     """Etag corpus delta -> (changed_urls, deleted_urls): urls whose CURRENT
     page bytes differ from the etag stored at crawl time, and urls crawled
     before that no longer exist in the corpus (the removed-document half of
@@ -630,7 +600,7 @@ def detect_corpus_delta(corpus_dir: str, ckpt_dir: str,
                 "etag": t["etag"],
                 "fetch_seq": t["fetch_seq"],
                 "side": pa.array(np.ones(t.num_rows, np.int8), pa.int8()),
-                "bucket": pa.array((uh % n_buckets).astype(np.int32), pa.int32()),
+                "bucket": pa.array((uh % _DELTA_BUCKETS).astype(np.int32), pa.int32()),
             },
             schema=_CHG_SCHEMA,
         )
@@ -646,7 +616,7 @@ def detect_corpus_delta(corpus_dir: str, ckpt_dir: str,
                 "etag": pa.array(etags, pa.string()),
                 "fetch_seq": pa.array(np.zeros(len(urls), np.int64), pa.int64()),
                 "side": pa.array(np.zeros(len(urls), np.int8), pa.int8()),
-                "bucket": pa.array((hashes % n_buckets).astype(np.int32), pa.int32()),
+                "bucket": pa.array((hashes % _DELTA_BUCKETS).astype(np.int32), pa.int32()),
             },
             schema=_CHG_SCHEMA,
         )
@@ -689,10 +659,9 @@ def detect_corpus_delta(corpus_dir: str, ckpt_dir: str,
             sorted(delta[delta["kind"] == "deleted"]["url"].tolist()))
 
 
-def detect_changed_urls(corpus_dir: str, ckpt_dir: str,
-                        n_buckets: int = 64) -> list:
+def detect_changed_urls(corpus_dir: str, ckpt_dir: str) -> list:
     """The changed-urls half of ``detect_corpus_delta``."""
-    return detect_corpus_delta(corpus_dir, ckpt_dir, n_buckets)[0]
+    return detect_corpus_delta(corpus_dir, ckpt_dir)[0]
 
 
 def recrawl(corpus_dir: str, ckpt_dir: str, budget: dict | None = None,
@@ -920,27 +889,25 @@ def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: in
 
 def _fetch_extract_feed(feed: pa.Table, pages_dir: str, max_depth: int, with_markdown: bool,
                         docs_dir: str, children_dir: str, *more: pa.Table,
-                        fetch_start: float | None = None) -> pa.Table:
+                        fetch_start: float) -> pa.Table:
     """Fetch, extract and write ONE pages bucket's feed — ``feed`` plus the
     bucket's feeds from other blocks, ``more`` — as its docs part and its
     children part, both named by the feed's first fetch_seq (buckets are
     disjoint, so a re-run task overwrites its own parts).  Returns the
     feed's miss rows (``_NO_MISSES`` schema).
 
-    With ``fetch_start`` the feed is fetched in ascending ``wait_s`` groups:
-    the first group no earlier than ``fetch_start`` plus its offset, each
-    later one its offset's difference after the previous group's fetch
-    ended, so rows of one host stay at least its delay apart."""
+    The feed is fetched in ascending ``wait_s`` groups: the first group no
+    earlier than ``fetch_start`` plus its offset, each later one its
+    offset's difference after the previous group's fetch ended, so rows of
+    one host stay at least its delay apart; a feed without delays is one
+    group."""
     feed = pa.concat_tables([feed, *more]) if more else feed
-    if fetch_start is None:
-        fetched = fetch_bucket_group(feed, pages_dir)
-    else:
-        parts, prev_w, prev_end = [], 0.0, fetch_start
-        for w in np.unique(feed["wait_s"].to_numpy()):
-            time.sleep(max(0.0, prev_end + w - prev_w - time.time()))
-            parts.append(fetch_bucket_group(feed.filter(pc.equal(feed["wait_s"], w)), pages_dir))
-            prev_w, prev_end = w, time.time()
-        fetched = pa.concat_tables(parts)
+    parts, prev_w, prev_end = [], 0.0, fetch_start
+    for w in np.unique(feed["wait_s"].to_numpy()):
+        time.sleep(max(0.0, prev_end + w - prev_w - time.time()))
+        parts.append(fetch_bucket_group(feed.filter(pc.equal(feed["wait_s"], w)), pages_dir))
+        prev_w, prev_end = w, time.time()
+    fetched = pa.concat_tables(parts)
     docs = extract_batch_fn(fetched, max_depth, with_markdown=with_markdown)
     name = f"part_{pc.min(feed['fetch_seq']).as_py():012d}.parquet"
     pq.write_table(docs, os.path.join(docs_dir, name))

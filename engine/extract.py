@@ -396,13 +396,9 @@ class _CaseInsensitiveSet:
 
     def __init__(self):
         self._s: set = set()
-        self._orig: list = []
 
     def add(self, v: str):
-        k = v.casefold()
-        if k not in self._s:
-            self._s.add(k)
-            self._orig.append(v)
+        self._s.add(v.casefold())
 
     def __contains__(self, v: str) -> bool:
         return v.casefold() in self._s

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 import zlib
-from itertools import chain
 
 import numpy as np
 
@@ -376,13 +375,8 @@ def _crypt_strings(crypt, num: int, head: bytes, encrypt: bool) -> bytes:
             out += b"<<"
             i += 2
         elif c == 0x3C:  # hex string
-            j = head.index(b">", i)
-            digits = re.sub(rb"\s+", b"", head[i + 1 : j])
-            if len(digits) % 2:
-                digits += b"0"
-            raw = bytes.fromhex(digits.decode("ascii"))
+            raw, i = _read_hex_string_bytes(head, i)
             out += b"<" + op(num, 0, raw).hex().encode("ascii") + b">"
-            i = j + 1
         else:
             out.append(c)
             i += 1
@@ -664,8 +658,6 @@ _CONTENT_TOKEN_RE = re.compile(
 )
 _NUM_TOKEN, _NAME_TOKEN, _BRACKET_TOKEN, _STRING_TOKEN = 1, 2, 3, 5  # group 4: operator
 
-_NO_WORDS = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64), [])
-
 _IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
@@ -921,7 +913,9 @@ def parse_pdf_layout(data: bytes) -> tuple[list, list]:
     pages, hrefs = [], []
     for page_no, (kr, height) in enumerate(kid_refs, 1):
         body = objs[kr]
-        parts = [_NO_WORDS]
+        # the parts of a /Contents array are ONE content stream (ISO 32000
+        # 7.8.2): text and graphics state carry across part boundaries
+        parts = []
         for contents_ref in _contents_refs(body):
             cbody = objs.get(contents_ref)
             if cbody is None:
@@ -934,10 +928,8 @@ def parse_pdf_layout(data: bytes) -> tuple[list, list]:
             # XObject mislinked as contents) is ignored, not a document abort
             decoded = _decode_stream(dict_part, raw, skip_images=True)
             if decoded is not None:
-                parts.append(_parse_content(decoded))
-        left, mid_y, texts = zip(*parts)
-        words = (np.concatenate(left), np.concatenate(mid_y), list(chain.from_iterable(texts)))
-        pages.append((page_no, height, words))
+                parts.append(decoded)
+        pages.append((page_no, height, _parse_content(b"\n".join(parts))))
         hrefs.extend(_page_annot_uris(objs, body))
     return pages, hrefs
 

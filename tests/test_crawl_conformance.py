@@ -501,6 +501,7 @@ def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     feed = (
         feed.append_column("fetch_seq", pa.array(range(40, 40 + n), pa.int64()))
         .append_column("round", pa.array([0] * n, pa.int32()))
+        .append_column("wait_s", pa.array([0.0] * n, pa.float64()))
         .append_column("bucket", pa.array([b] * n, pa.int32()))
     )
     docs_dir, children_dir = str(tmp_path / "docs"), str(tmp_path / "children")
@@ -511,7 +512,8 @@ def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     runs = []
     for _ in range(2):
         misses = _fetch_extract_feed(
-            feed, os.path.join(corpus_dir, "pages"), 6, True, docs_dir, children_dir
+            feed, os.path.join(corpus_dir, "pages"), 6, True, docs_dir, children_dir,
+            fetch_start=0.0,
         )
         assert misses.to_pylist() == want_miss
         parts = [glob(os.path.join(d, "*.parquet")) for d in (docs_dir, children_dir)]

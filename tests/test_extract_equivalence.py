@@ -3,25 +3,31 @@
 Each test runs a fast path and a plain reference on the same inputs and
 requires identical results: ``is_noise``'s precompiled default path against
 its per-pattern loop, the columnar ``build_lines`` against the dict-and-
-``sorted`` grouping it replaced, and the one-match-per-token
-``_parse_content`` against the per-byte tokenizer it replaced.  The two
-replaced versions are kept below verbatim as the references.
+``sorted`` grouping it replaced, the one-match-per-token ``_parse_content``
+against the per-byte tokenizer it replaced, and the pass-through
+``extract_batch_fn`` against the per-row-list docs builder it replaced.  The
+three replaced versions are kept below verbatim as the references.
 """
 
 import random
 import re
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
+from engine.canonicalize import canonicalize, host_of, path_of, url_hash64
+from engine.crawl import DOCS_SCHEMA, _etag, extract_batch_fn
 from engine.extract import (
     CHAR_WIDTH,
     DEFAULT_OPTIONS,
     ExtractOptions,
     build_lines,
+    extract_document,
     is_noise,
     page_layout,
 )
+from engine.frontier import SEQ_STRIDE
 from engine.pdf import (
     _IDENTITY,
     _NUM,
@@ -362,3 +368,159 @@ def test_parse_content_equals_per_byte_reference():
         words += len(want[1]) if want[0] == "ok" else 0
     assert outcomes["ok"] > 1000 and outcomes["raised"] > 10
     assert words > 5000
+
+
+# ------------------------------------------------------------ extract_batch_fn
+
+def _extract_batch_fn_reference(batch: pa.Table, max_depth: int, with_markdown: bool = True) -> pa.Table:
+    """Per-row extraction + link canonicalization (pure; safe under retries).
+
+    Column-wise bulk conversion up front; the only per-row Python is the
+    extraction itself (inherently per-document).  ``with_markdown=False`` is
+    the pre-count mode (SURVEY.md §2.1 S3, ``CountDocumentsAsync``): links
+    only, no markdown build."""
+    urls_l = batch["url"].to_pylist()
+    htmls_l = batch["html"].to_pylist()
+    fseq_l = batch["fetch_seq"].to_pylist()
+    round_l = batch["round"].to_pylist()
+    depth_l = batch["depth"].to_pylist()
+    prio_l = batch["priority"].to_pylist()
+    retry_l = batch["retry"].to_pylist()
+    out = {k: [] for k in (
+        "url", "fetch_seq", "round", "depth", "priority", "retry",
+        "status", "markdown", "title", "header_doc", "metadata", "links",
+    )}
+    for i in range(batch.num_rows):
+        url = urls_l[i]
+        html = htmls_l[i]
+        out["url"].append(url)
+        out["fetch_seq"].append(fseq_l[i])
+        out["round"].append(round_l[i])
+        depth = depth_l[i]
+        out["depth"].append(depth)
+        out["priority"].append(prio_l[i])
+        out["retry"].append(retry_l[i])
+        if html is None:
+            out["status"].append("miss")
+            out["markdown"].append(None)
+            out["title"].append(None)
+            out["header_doc"].append(None)
+            out["metadata"].append([])
+            out["links"].append([])
+            continue
+        if with_markdown:
+            d = extract_document(html, url)
+            hrefs = d["hrefs"]
+            # open metadata map: all parsed header fields, string-typed,
+            # only present keys (the GetValueOrDefault consumer reads
+            # missing keys as null — M15)
+            meta = [
+                (k, d[f"header_{k}"])
+                for k in ("doc", "eff", "rev", "org", "appr", "src")
+                if d.get(f"header_{k}") is not None
+            ]
+        else:
+            d = {"markdown": None, "title": None, "header_doc": None}
+            meta = []
+            _pages, hrefs = page_layout(html)
+        links = []
+        if depth < max_depth:
+            for href in hrefs:
+                # Spec: at most SEQ_STRIDE canonicalized links per page feed
+                # the frontier — keeps discovery_seq unique per (parent, link)
+                # so the total order has no scheduling-dependent ties (the
+                # oracle truncates identically).
+                if len(links) >= SEQ_STRIDE:
+                    break
+                cu = canonicalize(href, base=url)
+                if cu is None:
+                    continue
+                links.append(
+                    {
+                        "url": cu,
+                        "host": host_of(cu),
+                        "path": path_of(cu),
+                        "url_hash": url_hash64(cu),
+                    }
+                )
+        out["status"].append("hit")
+        out["markdown"].append(d["markdown"])
+        out["title"].append(d["title"])
+        out["header_doc"].append(d["header_doc"])
+        out["metadata"].append(meta)
+        out["links"].append(links)
+    cols = {
+        name: pa.array(vals, DOCS_SCHEMA.field(name).type) for name, vals in out.items()
+    }
+    # change-detection columns ride along column-wise: url_hash from the
+    # frontier row, etag = content hash, last_modified = the page's warc_ts
+    cols["url_hash"] = batch["url_hash"].combine_chunks()
+    cols["etag"] = pa.array(
+        [None if h is None else _etag(h) for h in htmls_l], pa.string()
+    )
+    cols["last_modified"] = (
+        batch["warc_ts"].combine_chunks().cast(pa.timestamp("us"))
+        if "warc_ts" in batch.column_names
+        else pa.nulls(batch.num_rows, pa.timestamp("us"))
+    )
+    return pa.table({f.name: cols[f.name] for f in DOCS_SCHEMA}, schema=DOCS_SCHEMA)
+
+
+def _fetched_feed() -> pa.Table:
+    """A feed as ``fetch_bucket_group`` returns it: HTML and FlateDecode PDF
+    pages, duplicate urls, misses (null html and warc_ts), non-zero retry,
+    depths 0-3, and one HTML and one PDF page with more than SEQ_STRIDE
+    links; two chunks per column."""
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+    from engine.pdf import render_pdf_page_bytes
+    from engine.synth import (
+        CorpusConfig, build_assignment, build_page_html, build_page_pdf, url_of,
+    )
+
+    cfg = CorpusConfig(n_pages=12, n_hosts=3, seed=4711, with_golden=False)
+    assign = build_assignment(cfg)
+    many = [f"https://fan{i % 3}.example.test/d/p{i}.html" for i in range(SEQ_STRIDE + 77)]
+    payloads = [(url_of(r, assign), build_page_html(r, cfg, assign).encode()
+                 if r % 2 else build_page_pdf(r, cfg, assign, compress=True))
+                for r in range(cfg.n_pages)]
+    payloads += [
+        ("https://fan.example.test/many.html",
+         ("<html><body><nav>" + "".join(f'<a href="{u}">l</a>' for u in many)
+          + "</nav></body></html>").encode()),
+        ("https://fan.example.test/many.pdf",
+         render_pdf_page_bytes([(1, 792.0, [(72.0, 700.0, "Links")])], many, compress=True)),
+        ("https://dead.example.test/a.html", None),
+        ("https://dead.example.test/b.html", None),
+    ]
+    payloads += [payloads[1], payloads[2], payloads[-1]]  # duplicate urls
+    n = len(payloads)
+    feed = pa.Table.from_pylist(
+        [frontier_row(u, i % 4, i % 3, 10 * i, retry=int(i % 5 == 0))
+         for i, (u, _) in enumerate(payloads)],
+        schema=FRONTIER_SCHEMA,
+    )
+    feed = (
+        feed.append_column("fetch_seq", pa.array(range(500, 500 + n), pa.int64()))
+        .append_column("round", pa.array([3] * n, pa.int32()))
+        .append_column("wait_s", pa.array([0.0] * n, pa.float64()))
+        .append_column("bucket", pa.array([1] * n, pa.int32()))
+        .append_column("html", pa.array([h for _, h in payloads], pa.binary()))
+        .append_column("warc_ts", pa.array(
+            [None if h is None else 1_700_000_000_000_000 + i for i, (_, h) in enumerate(payloads)],
+            pa.timestamp("us")))
+    )
+    return pa.concat_tables([feed.slice(0, 7), feed.slice(7)])
+
+
+@pytest.mark.parametrize("with_markdown", [True, False])
+@pytest.mark.parametrize("max_depth", [0, 2, 50])
+def test_extract_batch_fn_equals_per_row_list_reference(max_depth, with_markdown):
+    feed = _fetched_feed()
+    got = extract_batch_fn(feed, max_depth, with_markdown=with_markdown)
+    want = _extract_batch_fn_reference(feed, max_depth, with_markdown=with_markdown)
+    assert got.schema.equals(want.schema, check_metadata=True)
+    assert got.equals(want)
+    status = got["status"].to_pylist()
+    assert status.count("miss") == 3 and status.count("hit") == feed.num_rows - 3
+    longest = max(len(links) for links in got["links"].to_pylist())
+    assert longest == (SEQ_STRIDE if max_depth else 0)

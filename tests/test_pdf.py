@@ -122,6 +122,32 @@ def _one_page_pdf(contents_objs: bytes, contents_ref: bytes) -> bytes:
     )
 
 
+def _two_part_pdf(first: bytes, second: bytes) -> bytes:
+    return _one_page_pdf(
+        b"4 0 obj\n<< /Length %d >>\nstream\n" % len(first) + first + b"\nendstream\nendobj\n"
+        b"5 0 obj\n<< /Length %d >>\nstream\n" % len(second) + second + b"\nendstream\nendobj\n",
+        b"[4 0 R 5 0 R]",
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second, want",
+    [
+        # the text matrix set in part 1 positions the string shown in part 2
+        (b"BT 1 0 0 1 72.0 700.0 Tm", b"(Hello) Tj ET", (72.0, 700.0, "Hello")),
+        # the CTM composed in part 1 still applies in part 2
+        (b"q 1 0 0 1 10 20 cm", b"BT 1 0 0 1 72 700 Tm (Hi) Tj ET Q", (82.0, 720.0, "Hi")),
+    ],
+)
+def test_contents_array_parts_are_one_stream(first, second, want):
+    """The parts of a /Contents array form ONE content stream (ISO 32000
+    7.8.2), so text and graphics state carry across a part boundary."""
+    from engine.pdf import parse_pdf_layout
+
+    pages, _ = _layout_rows(parse_pdf_layout(_two_part_pdf(first, second)))
+    assert pages == [(1, 792.0, [want])]
+
+
 def test_image_stream_skipped_not_raised():
     """A DCT (image-class) stream in the content chain is SKIPPED by the
     text extractor, never a document abort (VERDICT r3 next-round #7) —

@@ -69,12 +69,14 @@ def test_fetch_step_calls_the_traced_names(tmp_path, monkeypatch):
     feed = (
         feed.append_column("fetch_seq", pa.array([7], pa.int64()))
         .append_column("round", pa.array([0], pa.int32()))
+        .append_column("wait_s", pa.array([0.0], pa.float64()))
         .append_column("bucket", pa.array([0], pa.int32()))
     )
     dirs = [str(tmp_path / d) for d in ("docs", "children")]
     for d in dirs:
         os.makedirs(d)
     # no pages directory at all: the one url misses
-    misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), 3, True, *dirs)
+    misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), 3, True, *dirs,
+                                           fetch_start=0.0)
     assert sorted(calls) == sorted(names)
     assert misses["url"].to_pylist() == ["https://h.example.test/a.html"]
