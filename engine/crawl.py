@@ -37,15 +37,19 @@ each step hands the driver loop one small record:
          frontier_deferred/overflow_*), schedule part -> round=R/selected/,
          and the fetch feed as bucket-pure tables, each row carrying its
          politeness offset ``wait_s``.  The driver groups the feeds by
-         pages bucket across blocks.
-      -> fetch_extract: ONE plain Ray task per pages bucket, so at most
-         n_buckets per round (_fetch_extract_feed, num_cpus=2:
-         allocation-heavy Python — see BENCH/BASELINE.md): concat the
-         bucket's feeds, fetch_bucket_group (an Arrow left join against
-         pages/bucket=K/) once per distinct ``wait_s``, each group after its
-         offset from the round's fetch start -> extract_batch_fn (the feed's
-         columns pass through; one row loop extracts) -> the bucket's
-         docs/round=R part and its children explode part in
+         pages bucket across blocks, in ascending bucket id.
+      -> fetch_extract: ONE plain Ray task per free fetch slot, so
+         min(buckets fetched, slots) per round, slots = the cluster's CPUs
+         // _FETCH_CPUS (allocation-heavy Python — see BENCH/BASELINE.md);
+         task i takes every n-th bucket from the i-th.  A task
+         (_fetch_extract_feed) walks its rows in ascending ``wait_s``
+         groups, each after its offset from the round's fetch start, and
+         within a group runs fetch_bucket_group (an Arrow left join against
+         pages/bucket=K/) once per bucket; the fetched rows are buffered up
+         to Ray Data's target block size, and each full buffer is one
+         extract_batch_fn (the feed's columns pass through; one row loop
+         extracts) and one explode, appended as a row group to the task's
+         ONE docs/round=R part and ONE children part in
          round=R/frontier_children/; the task returns its miss rows.  The
          driver collects them and writes the docs manifest, also for a round
          that fetches nothing.
@@ -437,8 +441,9 @@ def _finalize_block(
     share of the budget; the rest spill to the round's deferred parts.  The
     schedule part lands in ``round=R/selected/`` (its url_hash column is the
     round's seen delta).  The fetch feed follows as bucket-pure tables, so
-    each fetch task reads exactly one pages bucket file; the first value
-    yielded is their bucket ids, the small value the driver groups them by.
+    each ``fetch_bucket_group`` call reads one pages bucket file; the first
+    value yielded is their bucket ids, the small value the driver groups
+    them by.
 
     Politeness is a value in the feed (not in the schedule part): the j-th
     scheduled row of host h (0-based, in the crawl order) gets ``wait_s =
@@ -756,6 +761,8 @@ class _Crawl:
     max_depth: int
     with_markdown: bool
     delays_ms: dict  # host -> crawl_delay_ms; empty without enforce_delays
+    fetch_slots: int  # fetch tasks that run at once: the cluster's CPUs // _FETCH_CPUS
+    block_bytes: int  # html bytes a fetch task extracts per call and row group
 
     def round_dir(self, r: int, sub: str) -> str:
         return os.path.join(self.cm.dir, f"round={r}", sub)
@@ -772,8 +779,8 @@ class _Selection(NamedTuple):
 class _Schedule(NamedTuple):
     n_sel: int  # rows scheduled (attempted)
     n_overflow: int  # candidates cut by the budget
-    # The fetch feed: per pages bucket, its feeds (driver tables or refs) in
-    # fetch_seq order.
+    # The fetch feed: per pages bucket in ascending bucket id, its feeds
+    # (driver tables or refs) in fetch_seq order.
     feeds: list
 
 
@@ -884,57 +891,81 @@ def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: in
     for bs, o in zip(ids, outs):
         for b, feed in zip(bs, o[1:]):
             feeds.setdefault(b, []).append(feed)
-    return _Schedule(n_sel, int(starts[-1]) - n_sel, list(feeds.values()))
+    return _Schedule(n_sel, int(starts[-1]) - n_sel, [feeds[b] for b in sorted(feeds)])
 
 
 def _fetch_extract_feed(feed: pa.Table, pages_dir: str, max_depth: int, with_markdown: bool,
                         docs_dir: str, children_dir: str, *more: pa.Table,
-                        fetch_start: float) -> pa.Table:
-    """Fetch, extract and write ONE pages bucket's feed — ``feed`` plus the
-    bucket's feeds from other blocks, ``more`` — as its docs part and its
-    children part, both named by the feed's first fetch_seq (buckets are
-    disjoint, so a re-run task overwrites its own parts).  Returns the
-    feed's miss rows (``_NO_MISSES`` schema).
+                        fetch_start: float, block_bytes: int) -> pa.Table:
+    """Fetch, extract and write ONE fetch task's rows — ``feed`` plus
+    ``more``, the feeds of one or more pages buckets — as one docs part and
+    one children part, both named by the task's smallest fetch_seq (tasks
+    hold disjoint buckets, so a re-run task overwrites its own parts).
+    Returns the miss rows (``_NO_MISSES`` schema).
 
-    The feed is fetched in ascending ``wait_s`` groups: the first group no
-    earlier than ``fetch_start`` plus its offset, each later one its
-    offset's difference after the previous group's fetch ended, so rows of
+    The rows are fetched on one timeline in ascending ``wait_s`` groups: the
+    first group no earlier than ``fetch_start`` plus its offset, each later
+    one its offset's difference after the previous group ended, so rows of
     one host stay at least its delay apart; a feed without delays is one
-    group."""
+    group.  Within a group, ``fetch_bucket_group`` runs once per bucket in
+    ascending order.  Fetched chunks are buffered until their html reaches
+    ``block_bytes``; then one ``extract_batch_fn`` and one
+    ``explode_links_batch`` over the buffer append one row group to each
+    part, so a task holds at most one block plus one bucket chunk."""
     feed = pa.concat_tables([feed, *more]) if more else feed
-    parts, prev_w, prev_end = [], 0.0, fetch_start
-    for w in np.unique(feed["wait_s"].to_numpy()):
-        time.sleep(max(0.0, prev_end + w - prev_w - time.time()))
-        parts.append(fetch_bucket_group(feed.filter(pc.equal(feed["wait_s"], w)), pages_dir))
-        prev_w, prev_end = w, time.time()
-    fetched = pa.concat_tables(parts)
-    docs = extract_batch_fn(fetched, max_depth, with_markdown=with_markdown)
     name = f"part_{pc.min(feed['fetch_seq']).as_py():012d}.parquet"
-    pq.write_table(docs, os.path.join(docs_dir, name))
-    pq.write_table(explode_links_batch(docs), os.path.join(children_dir, name))
-    misses = fetched.filter(pc.is_null(fetched["html"]))
-    return misses.select(_NO_MISSES.schema.names).cast(_NO_MISSES.schema)
+    waits, buckets = feed["wait_s"].to_numpy(), feed["bucket"].to_numpy()
+    buf, misses, prev_w, prev_end = [], [], 0.0, fetch_start
+    docs_w = pq.ParquetWriter(os.path.join(docs_dir, name), DOCS_SCHEMA)
+    children_w = pq.ParquetWriter(os.path.join(children_dir, name), FRONTIER_SCHEMA)
+    with docs_w, children_w:
+
+        def flush():
+            fetched = pa.concat_tables(buf)
+            docs = extract_batch_fn(fetched, max_depth, with_markdown=with_markdown)
+            docs_w.write_table(docs)
+            children_w.write_table(explode_links_batch(docs))
+            misses.append(fetched.filter(pc.is_null(fetched["html"])))
+            buf.clear()
+
+        for w in np.unique(waits):
+            time.sleep(max(0.0, prev_end + w - prev_w - time.time()))
+            in_w = waits == w
+            for b in np.unique(buckets[in_w]):
+                buf.append(fetch_bucket_group(feed.filter(in_w & (buckets == b)), pages_dir))
+                if sum(t["html"].nbytes for t in buf) >= block_bytes:
+                    flush()
+            prev_w, prev_end = w, time.time()
+        if buf:
+            flush()
+    return pa.concat_tables(misses).select(_NO_MISSES.schema.names).cast(_NO_MISSES.schema)
 
 
-# num_cpus=2: extraction is allocation-heavy Python; measured on this class of
-# machine it scales near-linearly to ~12-16 concurrent processes and then
-# collapses (memory/page-fault contention), so each task reserves 2 logical
-# CPUs — a 32-CPU node runs 16 extract tasks at its throughput plateau
-# instead of 32 tasks past the cliff.
-_fetch_extract_remote = ray.remote(num_cpus=2)(_fetch_extract_feed)
+# Logical CPUs per fetch task, and so the divisor of the fetch slots.
+# Extraction is allocation-heavy Python; measured on this class of machine it
+# scales near-linearly to ~12-16 concurrent processes and then collapses
+# (memory/page-fault contention), so each task reserves 2 logical CPUs — a
+# 32-CPU node runs 16 extract tasks at its throughput plateau instead of 32
+# tasks past the cliff.
+_FETCH_CPUS = 2
+_fetch_extract_remote = ray.remote(num_cpus=_FETCH_CPUS)(_fetch_extract_feed)
 
 
 def _fetch_extract(c: _Crawl, sched: _Schedule, r: int) -> pa.Table:
-    """Fetch and extract the schedule, one plain task per pages bucket, and
-    return the round's miss rows.  The feeds are already partitioned by
-    bucket, so this is a map with no exchange: no dataset is built."""
+    """Fetch and extract the schedule in min(buckets, ``c.fetch_slots``)
+    plain tasks, and return the round's miss rows.  The feeds are already
+    partitioned by bucket and sorted by bucket id; task i of n takes buckets
+    i, i+n, ..., so this is a map with no exchange: no dataset is built."""
     docs_dir = _fresh_dir(os.path.join(c.docs_dir, f"round={r}"))
     children_dir = _fresh_dir(c.round_dir(r, "frontier_children"))
     args = (c.pages_dir, c.max_depth, c.with_markdown, docs_dir, children_dir)
+    n = min(len(sched.feeds), c.fetch_slots)
+    tasks = [[f for feeds in sched.feeds[i::n] for f in feeds] for i in range(n)]
     fetch_start = time.time()
     misses = ray.get([
-        _fetch_extract_remote.remote(feeds[0], *args, *feeds[1:], fetch_start=fetch_start)
-        for feeds in sched.feeds
+        _fetch_extract_remote.remote(feeds[0], *args, *feeds[1:], fetch_start=fetch_start,
+                                     block_bytes=c.block_bytes)
+        for feeds in tasks
     ])
     misses = pa.concat_tables([_NO_MISSES, *misses]).sort_by("fetch_seq")
     # Sink validation (UploadResponse analog): per-file row counts + schema
@@ -1108,6 +1139,8 @@ def crawl(
         max_depth=int(budget["max_depth"]),
         with_markdown=not count_only,
         delays_ms=delays_ms,
+        fetch_slots=max(1, int(ray.cluster_resources()["CPU"]) // _FETCH_CPUS),
+        block_bytes=rd.DataContext.get_current().target_max_block_size,
     )
 
     cumulative = {k: 0 for k in COUNTER_KEYS}

@@ -135,6 +135,8 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
     (The driver-side branch handles budget-bounded small rounds; this pins the
     large-frontier path to the same oracle.)
     """
+    import ray
+
     import engine.crawl as crawl_mod
     from engine.checkpoint import read_seen_delta
     from engine.oracle import crawl_oracle
@@ -150,8 +152,8 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
             return remote.remote(*args)
 
     monkeypatch.setattr(crawl_mod, "_finalize_remote", FinalizeSpy())
-    # the fetch step merges each bucket's feeds across blocks: one task per
-    # pages bucket the round fetches, so at most n_buckets
+    # the fetch step merges each bucket's feeds across blocks and spreads the
+    # round's buckets over the free fetch slots: min(buckets, slots) tasks
     launched = Counter()
     fetch_remote = crawl_mod._fetch_extract_remote
 
@@ -168,9 +170,10 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
     engine = crawl_mod.crawl(corpus_dir, ck, budget)
     assert finalized, "the remote finalize never ran"
     assert launched and max(launched.values()) <= cfg.n_buckets, launched
+    slots = max(1, int(ray.cluster_resources()["CPU"]) // crawl_mod._FETCH_CPUS)
     for r in range(engine.rounds):
         buckets = set((read_seen_delta(ck, r) % cfg.n_buckets).tolist())
-        assert launched[os.path.join(ck, "docs", f"round={r}")] == len(buckets), r
+        assert launched[os.path.join(ck, "docs", f"round={r}")] == min(len(buckets), slots), r
     assert engine.cumulative == oracle["cumulative"]
     got = engine.order_table().to_pylist()
     assert [(r["fetch_seq"], r["url"]) for r in got] == [
@@ -306,7 +309,8 @@ def test_rerun_fetch_task_overwrites_its_parts(crawl_pair, small_corpus, tmp_pat
     """A fetch task that dies after writing its parts is re-run by Ray; the
     re-run overwrites the same parts instead of adding to them, so the crawl
     matches the oracle, the docs manifests hold and each round has one docs
-    part and one children part per pages bucket it fetched."""
+    part and one children part per fetch task: min(buckets it fetched,
+    slots)."""
     import ray
 
     import engine.crawl as crawl_mod
@@ -339,11 +343,13 @@ def test_rerun_fetch_task_overwrites_its_parts(crawl_pair, small_corpus, tmp_pat
         (r["fetch_seq"], r["url"]) for r in oracle["order"]
     ]
     validate_docs_output(engine.docs_dir)
+    slots = max(1, int(ray.cluster_resources()["CPU"]) // crawl_mod._FETCH_CPUS)
     for r in range(engine.rounds):
         buckets = set((read_seen_delta(ck, r) % n_buckets).tolist())
         for d in (os.path.join(ck, "docs", f"round={r}"),
                   os.path.join(ck, f"round={r}", "frontier_children")):
-            assert len(glob(os.path.join(d, "*.parquet"))) == len(buckets), (r, d)
+            want = min(len(buckets), slots)
+            assert len(glob(os.path.join(d, "*.parquet"))) == want, (r, d)
 
 
 # a round with politeness-deferred rows, a re-queued retry and a final miss
@@ -513,7 +519,7 @@ def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     for _ in range(2):
         misses = _fetch_extract_feed(
             feed, os.path.join(corpus_dir, "pages"), 6, True, docs_dir, children_dir,
-            fetch_start=0.0,
+            fetch_start=0.0, block_bytes=1 << 27,
         )
         assert misses.to_pylist() == want_miss
         parts = [glob(os.path.join(d, "*.parquet")) for d in (docs_dir, children_dir)]
@@ -526,6 +532,147 @@ def test_fetch_extract_feed_writes_its_own_parts(small_corpus, tmp_path):
     assert [d["status"] for d in docs] == ["hit"] * 3 + ["miss"]
     assert children and all(ch["depth"] == 2 for ch in children)
     assert write_docs_manifest(docs_dir, n)["ok"]
+
+
+def _feed_of(urls, waits, n_buckets):
+    """A fetch feed over ``urls``: depth 1, fetch_seq from 40, each row
+    in its own pages bucket, with the given politeness offsets."""
+    from engine.canonicalize import url_hash64
+    from engine.frontier import FRONTIER_SCHEMA, frontier_row
+
+    n = len(urls)
+    feed = pa.Table.from_pylist(
+        [frontier_row(u, 1, 0, i) for i, u in enumerate(urls)], schema=FRONTIER_SCHEMA
+    )
+    return (
+        feed.append_column("fetch_seq", pa.array(range(40, 40 + n), pa.int64()))
+        .append_column("round", pa.array([0] * n, pa.int32()))
+        .append_column("wait_s", pa.array(waits, pa.float64()))
+        .append_column("bucket", pa.array([url_hash64(u) % n_buckets for u in urls], pa.int32()))
+    )
+
+
+def _corpus_urls(corpus_dir):
+    files = sorted(glob(os.path.join(corpus_dir, "pages", "bucket=*", "*.parquet")))
+    return sorted(u for f in files for u in pq.read_table(f, columns=["url"])["url"].to_pylist())
+
+
+def _out_dirs(tmp_path):
+    dirs = [str(tmp_path / d) for d in ("docs", "children")]
+    for d in dirs:
+        os.makedirs(d)
+    return dirs
+
+
+def test_fetch_extract_feed_spans_buckets_on_one_timeline(small_corpus, tmp_path, monkeypatch):
+    """One fetch task's rows from several pages buckets (no Ray): every row
+    is fetched from its own bucket, so only the dead url misses, and each
+    ``fetch_bucket_group`` call reads one bucket.  One host's rows with
+    offsets d and 2d, in different buckets, are fetched at least d apart."""
+    import time
+
+    import engine.crawl as crawl_mod
+    from engine.canonicalize import host_of, url_hash64
+
+    corpus_dir, cfg = small_corpus
+    urls = _corpus_urls(corpus_dir)
+    by_host: dict = {}
+    for u in urls:
+        by_host.setdefault(host_of(u), {}).setdefault(url_hash64(u) % cfg.n_buckets, u)
+    host, first = next((h, bs) for h, bs in sorted(by_host.items()) if len(bs) >= 2)
+    (b1, u1), (b2, u2) = sorted(first.items())[:2]
+    others = [u for u in urls
+              if host_of(u) != host and url_hash64(u) % cfg.n_buckets in (b1, b2)]
+    others = others[:3] + others[-3:]
+    dead = "https://dead.example.test/gone.html"
+    d = 0.2
+    feed = _feed_of(others + [dead, u2, u1], [0.0] * 7 + [2 * d, d], cfg.n_buckets)
+    calls = []
+    real = crawl_mod.fetch_bucket_group
+
+    def spy(group, pages_dir):
+        calls.append((time.time(), set(group["bucket"].to_pylist()), group["url"].to_pylist()))
+        return real(group, pages_dir)
+
+    monkeypatch.setattr(crawl_mod, "fetch_bucket_group", spy)
+    docs_dir, children_dir = _out_dirs(tmp_path)
+    fetch_start = time.time()
+    misses = crawl_mod._fetch_extract_feed(
+        feed, os.path.join(corpus_dir, "pages"), 6, True, docs_dir, children_dir,
+        fetch_start=fetch_start, block_bytes=1 << 27,
+    )
+    assert misses["url"].to_pylist() == [dead]
+    assert all(len(bs) == 1 for _, bs, _ in calls), calls
+    (part,) = glob(os.path.join(docs_dir, "*.parquet"))
+    docs = pq.read_table(part, columns=["url", "status"]).to_pylist()
+    assert sorted(r["url"] for r in docs) == sorted(feed["url"].to_pylist())
+    assert sorted(r["url"] for r in docs if r["status"] == "hit") == sorted(others + [u1, u2])
+    at = {u: t for t, _, us in calls for u in us}
+    assert at[u1] >= fetch_start + d
+    assert at[u2] - at[u1] >= d
+
+
+def test_fetch_extract_feed_bounds_its_block(small_corpus, tmp_path):
+    """With a tiny ``block_bytes`` each bucket chunk is its own extract call:
+    one call writes one row group per bucket into exactly one docs part and
+    one children part, and a second (retried) call overwrites both with
+    equal rows; the docs manifest holds.  With the default bound the same
+    rows are one row group."""
+    from engine.canonicalize import url_hash64
+    from engine.checkpoint import write_docs_manifest
+    from engine.crawl import _fetch_extract_feed
+
+    corpus_dir, cfg = small_corpus
+    per_bucket: dict = {}
+    for u in _corpus_urls(corpus_dir):
+        per_bucket.setdefault(url_hash64(u) % cfg.n_buckets, []).append(u)
+    urls = [u for b in sorted(per_bucket)[:3] for u in per_bucket[b][:2]]
+    feed = _feed_of(urls, [0.0] * len(urls), cfg.n_buckets)
+    docs_dir, children_dir = _out_dirs(tmp_path)
+    runs = []
+    for block_bytes in (1, 1, 1 << 27):
+        _fetch_extract_feed(
+            feed, os.path.join(corpus_dir, "pages"), 6, True, docs_dir, children_dir,
+            fetch_start=0.0, block_bytes=block_bytes,
+        )
+        parts = [glob(os.path.join(d, "*.parquet")) for d in (docs_dir, children_dir)]
+        assert [[os.path.basename(f) for f in p] for p in parts] == [
+            ["part_000000000040.parquet"]
+        ] * 2
+        groups = [pq.ParquetFile(p[0]).metadata.num_row_groups for p in parts]
+        assert groups == ([3, 3] if block_bytes == 1 else [1, 1]), (block_bytes, groups)
+        runs.append([pq.read_table(p[0]).to_pylist() for p in parts])
+        assert write_docs_manifest(docs_dir, len(urls))["ok"]
+    assert runs[0] == runs[1]
+    assert runs[0][1], "no children"
+
+
+def test_crawl_with_a_tiny_block_bound_matches_oracle(crawl_pair, tmp_path, monkeypatch):
+    """The fetch tasks' block bound comes from Ray Data's target block size
+    on the driver: with a 1-byte bound every bucket chunk is its own row
+    group, and the crawl still equals the oracle and writes the same docs."""
+    from ray.data import DataContext
+
+    import engine.crawl as crawl_mod
+    from engine.checkpoint import validate_docs_output
+
+    corpus_dir, oracle, base = crawl_pair
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
+    engine = crawl_mod.crawl(corpus_dir, str(tmp_path / "ckpt"), BUDGET)
+    assert engine.cumulative == oracle["cumulative"]
+    assert [(r["fetch_seq"], r["url"]) for r in engine.order_table().to_pylist()] == [
+        (r["fetch_seq"], r["url"]) for r in oracle["order"]
+    ]
+    assert set(engine.seen_hashes().tolist()) == oracle["seen_hashes"]
+    validate_docs_output(engine.docs_dir)
+
+    def docs(res):
+        files = sorted(glob(os.path.join(res.docs_dir, "round=*", "*.parquet")))
+        return files, pa.concat_tables([pq.read_table(f) for f in files]).sort_by("fetch_seq")
+
+    files, got = docs(engine)
+    assert got.equals(docs(base)[1])
+    assert max(pq.ParquetFile(f).metadata.num_row_groups for f in files) > 1
 
 
 def test_close_block_writes_its_deferred_part_and_counts(tmp_path):

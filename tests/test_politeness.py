@@ -157,7 +157,7 @@ def test_fetch_step_spaces_one_hosts_rows_by_their_offsets(tmp_path, monkeypatch
     fetch_start = time.time()
     # no pages directory at all: both urls miss
     misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), 3, True, *dirs,
-                                           fetch_start=fetch_start)
+                                           fetch_start=fetch_start, block_bytes=1 << 27)
     assert sorted(misses["url"].to_pylist()) == sorted(urls)
     assert [u for _, u in calls] == [[urls[1]], [urls[0]]]
     (t1, _), (t2, _) = calls

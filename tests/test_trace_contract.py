@@ -77,6 +77,6 @@ def test_fetch_step_calls_the_traced_names(tmp_path, monkeypatch):
         os.makedirs(d)
     # no pages directory at all: the one url misses
     misses = crawl_mod._fetch_extract_feed(feed, str(tmp_path / "pages"), 3, True, *dirs,
-                                           fetch_start=0.0)
+                                           fetch_start=0.0, block_bytes=1 << 27)
     assert sorted(calls) == sorted(names)
     assert misses["url"].to_pylist() == ["https://h.example.test/a.html"]
