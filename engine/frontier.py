@@ -15,16 +15,20 @@ files-before-folders listing order) is::
 
     (host, depth, priority, discovery_seq)
 
-Skew handling (SURVEY.md §7.5-§7.6.4): politeness top-k per host runs as a
-two-stage tree over a salted key —
+Skew handling (SURVEY.md §7.5-§7.6.4): dedup and politeness top-k per host
+run as a two-stage tree over url-closed url_hash ranges —
 
-    stage 1: groupby(salt = url_hash % N_SALT) -> exact in-round dedup
-             (same url => same salt) + per-host top-k within the salt
+    stage 1: one range of salts (salt = url_hash >> 59, the top 4 of its 63
+             bits) -> exact in-round dedup (same url => same range) +
+             per-host top-k within the range
     stage 2: sort(host), then the same function over blocks of whole hosts
-             (<= N_SALT*k distinct survivors per host) -> exact top-k
+             (<= P*k distinct survivors per host, P <= N_SALT ranges) ->
+             exact top-k
 
-so no group ever exceeds ``N_SALT * k`` rows even for a hot host with 10^8
-candidate URLs, and the result is exactly the unsalted per-host top-k.
+so no stage-2 group ever exceeds ``N_SALT * k`` rows per host even for a hot
+host with 10^8 candidate URLs, and the result is exactly the unpartitioned
+per-host top-k.  A frontier small enough for one pass is one range (P = 1)
+and needs no stage 2.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import pyarrow.parquet as pq
 from .canonicalize import canonicalize, host_of, path_of, url_hash64
 
 SEQ_STRIDE = 1024  # max links considered per page for discovery_seq uniqueness
-N_SALT = 16
+N_SALT = 16  # range salts (url_hash >> 59), and the most ranges a round selects in
 
 ORDER_COLS = ["host", "depth", "priority", "discovery_seq"]
 
@@ -88,12 +92,12 @@ def dedup_and_salt_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
     """Vectorized in-round dedup + per-host top-k over one group.
 
     Valid for any group that is CLOSED under url (same url => same group):
-    a whole host, one salt bucket (salt = url_hash % N_SALT), or the whole
-    frontier.  Output statuses: "dup" (in-round duplicate url; loser by order
-    key), "deferred" (beyond per-host top-k *within this group*), "cand"
-    (survivor).  The winner of a duplicate group inherits retry = max(retry)
-    so a retry entry's seen-bypass survives dedup.  Non-"cand" rows pass
-    through untouched.
+    a whole host, one url_hash range (a run of salts, see ``add_salt``), or
+    the whole frontier.  Output statuses: "dup" (in-round duplicate url;
+    loser by order key), "deferred" (beyond per-host top-k *within this
+    group*), "cand" (survivor).  The winner of a duplicate group inherits
+    retry = max(retry) so a retry entry's seen-bypass survives dedup.
+    Non-"cand" rows pass through untouched.
 
     One pandas pass — sort by (host, depth, priority, discovery_seq), global
     keep-first on url_hash (same url => same host => per-host min-key winner),
@@ -115,7 +119,7 @@ def dedup_and_salt_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def host_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Exact top-k over one host's salt winners: stage 2's test reference."""
+    """Exact top-k over one host's range winners: stage 2's test reference."""
     cand = df[df["status"] == "cand"]
     other = df[df["status"] != "cand"]
     cand = cand.sort_values(["depth", "priority", "discovery_seq"], kind="mergesort")
@@ -126,15 +130,11 @@ def host_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def add_salt(batch: pa.Table) -> pa.Table:
-    salt = pa.compute.cast(
-        pa.compute.subtract(
-            batch["url_hash"],
-            pa.compute.multiply(
-                pa.compute.divide(batch["url_hash"], N_SALT), N_SALT
-            ),
-        ),
-        pa.int32(),
-    )
+    """Append the range salt ``url_hash >> 59`` (int32): the top 4 of the
+    hash's 63 bits, so salt s is the url_hash range [s << 59, (s+1) << 59),
+    and P ranges of N_SALT/P consecutive salts each are url-closed.  The
+    name is kept for the benchmark tracer's ``TARGETS``."""
+    salt = pa.compute.cast(pa.compute.shift_right(batch["url_hash"], 59), pa.int32())
     return batch.append_column("salt", salt)
 
 

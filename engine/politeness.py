@@ -5,9 +5,9 @@ flight (``SharePointClient.cs:201-342``); its only gate is the title
 allow-list semi-join (``SharePointClient.cs:272-275``).  The engine makes both
 explicit:
 
-- ``RobotsRules``: per-host disallow-prefix matching (broadcast once via
-  ``ray.put``, evaluated vectorized-per-batch inside ``map_batches`` — the
-  same broadcast-small-side pattern as the reference's allow-list).
+- ``RobotsRules``: per-host disallow-prefix matching, vectorized over a
+  selection range (range tasks get one ``ray.put`` per round) — the same
+  broadcast-small-side pattern as the reference's allow-list.
 - per-host round budget ``max_per_host_per_round`` — the BSP analog of
   one-request-at-a-time (enforced in ``engine.frontier``).
 - wall-clock politeness (``crawl(enforce_delays=True)``) honouring
@@ -33,10 +33,10 @@ class RobotsRules:
 
     def __init__(self, rules: dict):
         self.rules = {h: tuple(p) for h, p in rules.items()}
-        # Vectorization side-structures (built once per worker, amortized over
-        # every batch): the set of ruled hosts as an Arrow array for is_in,
-        # and the (host, prefix) pairs exploded for the merge-then-startswith
-        # evaluation in blocked_many.
+        # Vectorization side-structures (built once per crawl on the driver,
+        # and shipped with the rules to range tasks): the set of ruled hosts
+        # as an Arrow array for is_in, and the (host, prefix) pairs exploded
+        # for the merge-then-startswith evaluation in blocked_many.
         ruled = [h for h, p in self.rules.items() if p]
         self._ruled_arr = pa.array(ruled, pa.string())
         self._rules_df = pd.DataFrame(
@@ -115,7 +115,7 @@ class UrlGate:
     case-insensitive membership otherwise.  ``from_config`` accepts either
     an inline ``allow_titles`` list or an ``allowlist_file`` path (one title
     per line, ``#`` comments) — the file is read once on the driver and the
-    resulting set broadcasts to workers in the task closure.
+    resulting set travels to range tasks as a task argument.
     """
 
     def __init__(self, allow_url_regex=None, deny_url_regex=None, allowed_extensions=None,

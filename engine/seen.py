@@ -7,20 +7,20 @@ hashes of every url the crawl has attempted.
 
 Round protocol (SURVEY.md §7.6.2): the set changes only at the round barrier,
 so it is a value per round, not a service.  During round R selection only
-reads the array frozen at the end of round R-1: in process on the driver
-path, or as one ``ray.put`` object per round that distributed stage-0
-workers read zero-copy and cache.  At the barrier the driver builds the next
-array from the round's attempted hashes, read back from the checkpoint (the
-seen set's source of truth, also on resume): an add is a sorted merge, a
-recrawl invalidation a set difference.  Adds are idempotent.
+reads the array frozen at the end of round R-1, whole in process, or one
+slice (two ``searchsorted`` bounds) per url_hash range task as an argument.
+At the barrier the driver builds the next array from the round's attempted
+hashes, read back from the checkpoint (the seen set's source of truth, also
+on resume): an add is a sorted merge, a recrawl invalidation a set
+difference.  Adds are idempotent.
 
 There is no prefilter.  A membership filter (Bloom, cuckoo) in front of the
 exact keys pays only when the exact check is expensive, such as an RPC or a
 disk read.  Here the keys sit in the prober's memory: a probe batch is
 sorted once and answered by one ``searchsorted``, which costs less than
 building and probing filter bits.  The whole set lives in the driver's
-memory; past that, stage 0 becomes an anti-join against the url_hash column
-of the checkpoint's schedule parts (not implemented).
+memory; past that, a range task would read its slice from the url_hash
+column of the checkpoint's schedule parts (not implemented).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class SeenSet:
     """The driver's current seen value, ``keys``: sorted, unique, read-only.
 
     ``add_many``/``delete_many`` replace ``keys`` with a new array; a value
-    handed out before (``ray.put`` for a distributed round) is unaffected.
+    handed out before (a range task's slice) is unaffected.
     """
 
     def __init__(self):
@@ -75,8 +75,8 @@ class SeenSet:
 def check_many_via_handles(keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Exact membership of each hash in the seen value ``keys``.
 
-    Runs wherever the value is: the driver, or a stage-0 worker that fetched
-    it.  The probes are sorted for one ``searchsorted`` and the mask is
+    Runs wherever the value is: the driver, or a range task given its
+    slice.  The probes are sorted for one ``searchsorted`` and the mask is
     scattered back into input order.
     """
     hashes = np.asarray(hashes, dtype=np.int64)

@@ -1010,28 +1010,64 @@ def test_schedule_orders_blocks_whatever_their_arrival(tmp_path, ray_session):
         _schedule_parts(tmp_path / "overlap", [block([0, 2]), block([1])], remaining=25)
 
 
-def test_worker_cache_stays_bounded(small_corpus, tmp_path, monkeypatch):
-    """Long-lived workers keep only the current robots rules and seen value,
-    however many crawls and distributed rounds they serve."""
-    import ray
+@pytest.mark.parametrize(
+    "small, want_tasks",
+    [(200_000, [0, 0, 0]), (10, [0, 4, 0]), (0, [16, 16, 16])],
+    ids=["one_range", "four_ranges", "sixteen_ranges"],
+)
+def test_range_count_follows_the_frontier_size(tmp_path, ray_session, monkeypatch, small,
+                                               want_tasks):
+    """A round selects in P url_hash range tasks: none up to
+    SMALL_FRONTIER_ROWS frontier rows, where it runs no Ray Data execution
+    either; else the least power of two whose ranges average at most that
+    many rows, up to N_SALT = 16.  The seed's round has 1 row, the next one
+    the seed's 25 links (files), the last the 3 dead links' retries (a
+    file).  A round with P > 1 runs exactly 2 Ray Data executions (stage 2's
+    sort and its close).  Every case equals the oracle."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     import engine.crawl as crawl_mod
+    from engine.oracle import crawl_oracle
 
-    monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)  # stage 0 on workers
-    corpus_dir, _cfg = small_corpus
-    budget = {"max_urls_total": 40, "max_per_host_per_round": 3, "max_depth": 3, "max_rounds": 3}
-    for i in range(3):
-        assert crawl_mod.crawl(corpus_dir, str(tmp_path / f"ckpt_{i}"), budget).rounds >= 2
+    targets = [f"https://h{i % 3}.sizing.test/d0/p{i}.html" for i in range(25)]
+    seed_url = "https://h0.sizing.test/d0/seed.html"
+    pages = {seed_url: "<html><body>" + "".join(f'<a href="{t}">l</a>' for t in targets)
+             + "</body></html>"}
+    pages.update((t, "<html><body></body></html>") for t in targets[3:])  # 3 dead links
+    corpus = _write_mini_corpus(str(tmp_path / "corpus"), pages, [(seed_url, 0)])
+    budget = {"max_urls_total": 100, "max_per_host_per_round": 20, "max_depth": 2,
+              "max_rounds": 5}
 
-    @ray.remote
-    def cache_keys():
-        import time
+    monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", small)
+    launched = Counter()
+    remote = crawl_mod._select_range_remote
 
-        from engine.crawl import _WORKER_CACHE
+    class RangeSpy:
+        def remote(self, *args):
+            launched[args[-1]] += 1  # the round's deferred dir
+            return remote.remote(*args)
 
-        time.sleep(0.2)  # spread the probes over the idle workers
-        return sorted(_WORKER_CACHE)
+    monkeypatch.setattr(crawl_mod, "_select_range_remote", RangeSpy())
+    executions = []
+    execute = StreamingExecutor.execute
 
-    probes = ray.get([cache_keys.remote() for _ in range(8)])
-    assert any(probes), "no probe reached a worker that ran stage 0"
-    assert all(keys in ([], ["rules", "seen"]) for keys in probes), probes
+    def counted(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    ck = str(tmp_path / "ckpt")
+    engine = crawl_mod.crawl(corpus, ck, budget)
+    monkeypatch.undo()
+
+    assert engine.rounds == len(want_tasks)
+    assert [launched[os.path.join(ck, f"round={r}", "frontier_deferred")]
+            for r in range(engine.rounds)] == want_tasks
+    assert len(executions) == 2 * sum(1 for n in want_tasks if n)
+    oracle = crawl_oracle(corpus, budget)
+    assert engine.cumulative == oracle["cumulative"]
+    assert oracle["cumulative"]["failed"] == 3
+    assert [(x["fetch_seq"], x["url"]) for x in engine.order_table().to_pylist()] == [
+        (x["fetch_seq"], x["url"]) for x in oracle["order"]
+    ]
+    assert set(engine.seen_hashes().tolist()) == oracle["seen_hashes"]

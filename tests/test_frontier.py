@@ -1,11 +1,16 @@
-"""Frontier ordering / dedup / salted-politeness exactness tests (SURVEY.md §7.5-7.6)."""
+"""Frontier ordering / dedup / salted-politeness exactness tests (SURVEY.md §7.5-7.6),
+and the url_hash ranges the selection runs over."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from engine.frontier import (
+    FRONTIER_SCHEMA,
     N_SALT,
+    add_salt,
     child_discovery_seq,
     dedup_and_salt_topk,
     host_topk,
@@ -72,6 +77,87 @@ def test_salted_two_stage_equals_unsalted(seed, k):
             [host_topk(g, k) for _, g in block.groupby("host", sort=False)], ignore_index=True
         )
         assert rows(dedup_and_salt_topk(block, k)) == rows(want)
+
+
+@pytest.mark.parametrize("p", [2, 4, 16])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_range_salted_two_stage_equals_unsalted(seed, k, p):
+    """Stage 1 over P url_hash ranges (runs of N_SALT/P range salts,
+    url_hash >> 59) + stage 2 as the engine runs it (the same group function
+    over blocks of whole hosts of the ranges' candidates) == exact per-host
+    top-k, with every input row accounted for exactly once."""
+    df = _rand_frontier(600, n_hosts=5, n_urls=80, seed=seed)
+    df["salt"] = add_salt(pa.Table.from_pandas(df[["url_hash"]]))["salt"].to_numpy()
+    assert (df["salt"].to_numpy() == df["url_hash"].to_numpy() >> 59).all()
+    stage1 = pd.concat(
+        [dedup_and_salt_topk(g, k) for _, g in df.groupby(df["salt"] // (N_SALT // p))],
+        ignore_index=True,
+    )
+    # at most P*k candidates per host reach stage 2
+    assert stage1[stage1["status"] == "cand"].groupby("host").size().max() <= p * k
+    survivors = stage1[stage1["status"] == "cand"]
+    hosts = sorted(survivors["host"].unique())
+    final = pd.concat(
+        [stage1[stage1["status"] != "cand"]]
+        + [
+            dedup_and_salt_topk(survivors[survivors["host"].isin(b)], k)
+            for b in np.array_split(np.asarray(hosts), 3)
+        ],
+        ignore_index=True,
+    )
+    assert set(final[final["status"] == "cand"]["url"]) == _reference_selection(df, k)
+    assert len(final) == len(df)
+    assert set(final["status"]) <= {"cand", "dup", "deferred"}
+
+
+def test_range_salt_of_the_edge_hashes():
+    t = pa.table({"url_hash": pa.array([0, 2**59 - 1, 2**59, 2**62, 2**63 - 1], pa.int64())})
+    assert add_salt(t)["salt"].to_pylist() == [0, 0, 1, 8, N_SALT - 1]
+    assert add_salt(t)["salt"].type == pa.int32()
+
+
+def test_range_reads_partition_the_frontier(tmp_path):
+    """The P ranges of a frontier (several part files plus ``extra``, with
+    the edge hashes 0, 2**59-1, 2**59, 2**62 and 2**63-1) hold each row
+    exactly once, each row inside its range's bounds, and each range's seen
+    keys are exactly the seen keys inside those bounds.  The last range is
+    open above: 2**63 never reaches an int64 filter."""
+    from engine.crawl import _read_range, _split_ranges
+
+    rng = np.random.default_rng(12)
+    edges = [0, 2**59 - 1, 2**59, 2**62, 2**63 - 1]
+
+    def table(n, first):
+        hashes = np.r_[edges, rng.integers(0, 2**63 - 1, n - len(edges), dtype=np.int64)]
+        rows = [frontier_row(f"https://h{i % 5}.t/p{first + i}", 0, 0, first + i) for i in range(n)]
+        t = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
+        return t.set_column(7, FRONTIER_SCHEMA.field("url_hash"), pa.array(hashes, pa.int64()))
+
+    files = []
+    for i, n in enumerate([40, 6, 25]):
+        files.append(str(tmp_path / f"part_{i}.parquet"))
+        pq.write_table(table(n, 100 * i), files[-1], row_group_size=16)
+    pq.write_table(FRONTIER_SCHEMA.empty_table(), str(tmp_path / "empty.parquet"))
+    files.append(str(tmp_path / "empty.parquet"))
+    extra = table(30, 1000)
+    every = pa.concat_tables([pq.read_table(f) for f in files] + [extra])
+    keys = np.unique(np.r_[edges, every["url_hash"].to_numpy()[::3],
+                           rng.integers(0, 2**63 - 1, 50, dtype=np.int64)])
+    for p in (1, 2, 4, 16):
+        ranges = _split_ranges(extra, keys, p)
+        assert len(ranges) == p and ranges[0][0] == 0 and ranges[-1][1] is None
+        got = []
+        for lo, hi, extra_rows, seen in ranges:
+            rows = _read_range(files, lo, hi, extra_rows)
+            assert rows.schema == FRONTIER_SCHEMA
+            h = rows["url_hash"].to_numpy()
+            assert (h >= lo).all() and (hi is None or (h < hi).all()), (p, lo)
+            inside = keys >= lo if hi is None else (keys >= lo) & (keys < hi)
+            assert np.array_equal(seen, keys[inside]), (p, lo)
+            got += rows.to_pylist()
+        key = lambda r: (r["discovery_seq"], r["url_hash"])  # noqa: E731
+        assert sorted(got, key=key) == sorted(every.to_pylist(), key=key), p
 
 
 def test_dedup_winner_inherits_retry():
