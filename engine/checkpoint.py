@@ -13,23 +13,24 @@ a round without ``_SUCCESS`` is simply re-run)::
 
     ckpt_dir/
       round=R/
-        selected/part_*.parquet  # the round's fetch schedule, one part per
-                               #   sorted candidate block; its url_hash
-                               #   column is the round's seen delta
+        selected/part_*.parquet  # the round's fetch schedule, in one part
+                               #   (part_00000); its url_hash column is
+                               #   the round's seen delta
         frontier_next.parquet  # fetch-miss retries entering round R+1
         frontier_children/     # parquet parts: links exploded from the docs
         frontier_deferred/     # parquet parts: politeness-deferred rows
-                               #   (deferred_*: one per closed selection
-                               #   block) and budget overflow (overflow_*)
+                               #   (deferred_*: one per close, a range's
+                               #   or stage 2's) and budget overflow (at
+                               #   most one overflow_* part)
         errors.parquet         # fetch misses as rows (when any)
         counters.json          # round + cumulative counters, lineage, phases
         _SUCCESS
       docs/round=R/            # the docs sink: parquet parts + _manifest.json
                                #   (per-file row counts, schema fingerprint)
 
-Each fetch feed writes one docs part and one ``frontier_children/`` part,
-both named ``part_{first fetch_seq:012d}.parquet``: feeds are disjoint, so a
-retried feed overwrites its own parts.
+Each fetch task writes one docs part and one ``frontier_children/`` part,
+both named ``part_{first fetch_seq:012d}.parquet``: tasks hold disjoint
+rows, so a retried task overwrites its own parts.
 
 Round R+1's frontier is exactly ``frontier_next.parquet`` plus the parts of
 ``frontier_children/`` and ``frontier_deferred/``.

@@ -19,28 +19,26 @@ each step hands the driver loop one small record:
          range count P comes from the footer row count (_n_ranges), here and
          nowhere else:
          P = 1 (frontier <= SMALL_FRONTIER_ROWS): in process over the handle
-           read into a table; no task and no dataset execution; one block;
+           read into a table; no task;
          P > 1 (a power of two <= N_SALT): one plain Ray task per range
            (_select_range) reads every frontier part with a url_hash filter,
            adds its share of ``extra`` and gets its seen slice as an
            argument.  Decided rows never leave their task: only the ranges'
-           candidates, at most P*k per host, meet in ONE exchange, stage 2:
-           sort(host) -> dedup_and_salt_topk per block [whole hosts of
-           distinct urls] -> _close_block per block, two dataset executions.
-           Stage 2's blocks are the candidate blocks.
-      -> schedule: the only place the crawl order is applied.  Blocks are
-         ranked by their candidates' ORDER_COLS key range (overlaps raise),
-         rank offsets by prefix sum; then ONE finalize per block
-         (_finalize_block; in process for a driver block, a Ray task
-         otherwise): sort, fetch_seq, budget cut (overflow ->
-         frontier_deferred/overflow_*), schedule part -> round=R/selected/,
-         and the fetch feed as bucket-pure tables, each row carrying its
-         politeness offset ``wait_s``.  The driver groups the feeds by
-         pages bucket across blocks, in ascending bucket id.
+           counts and candidates, at most P*k per host, come back to the
+           driver, where stage 2 runs in process over their concatenation:
+           the same dedup_and_salt_topk and ONE _close_block.  No exchange
+           and no dataset execution at any P.
+         Either way the round's candidates are one driver table.
+      -> schedule: the only place the crawl order is applied.  ONE finalize
+         over the candidates (_finalize_block, in process): sort, fetch_seq,
+         budget cut (overflow -> frontier_deferred/overflow_0), ONE schedule
+         part -> round=R/selected/, and ONE fetch feed table whose rows carry
+         their pages ``bucket`` and politeness offset ``wait_s``.
       -> fetch_extract: ONE plain Ray task per free fetch slot, so
          min(buckets fetched, slots) per round, slots = the cluster's CPUs
          // _FETCH_CPUS (allocation-heavy Python — see BENCH/BASELINE.md);
-         task i takes every n-th bucket from the i-th.  A task
+         with the feed's bucket ids sorted, task i gets the rows of every
+         n-th bucket from the i-th.  A task
          (_fetch_extract_feed) walks its rows in ascending ``wait_s``
          groups, each after its offset from the round's fetch start, and
          within a group runs fetch_bucket_group (an Arrow left join against
@@ -66,9 +64,13 @@ once in the next round, then counted ``failed`` (the reference retries never:
 ``SharePointClient.cs:283-293``; the engine's single retry exercises the
 north-rule's ``retried`` counter).
 
-Scale notes: past the size threshold the driver holds neither the frontier
-nor the schedule — only status counts, one count and key range per
-candidate block and the fetch misses; no html/text ever enters the frontier.
+Scale notes: past the size threshold the driver never holds the frontier,
+nor its seen, dup or robots rows.  It holds the status counts, the fetch
+misses, the ranges' candidates (at most P*k rows per host, in the narrow
+frontier columns) and the round's schedule (at most k rows per host and no
+more than the remaining budget); no html/text ever enters the frontier.  For scale: the
+driver already holds the whole seen value (one int64 per url ever
+attempted) and, at P = 1, up to SMALL_FRONTIER_ROWS frontier rows.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ from .extract import extract_document, page_layout
 from .frontier import (
     FRONTIER_SCHEMA,
     N_SALT,
-    ORDER_COLS,
     frontier_row,
     SEQ_STRIDE,
     add_salt,
@@ -118,9 +119,9 @@ from .politeness import RobotsRules, UrlGate
 from .seen import SeenSet, check_many_via_handles
 from .synth import default_budget
 
-# Up to this many frontier rows a round selects and finalizes on the driver
-# (one vectorized pass); above it, in url_hash range tasks of about this
-# many rows each (at most N_SALT of them), and one finalize task per block.
+# Up to this many frontier rows a round selects on the driver (one vectorized
+# pass); above it, in url_hash range tasks of about this many rows each (at
+# most N_SALT of them).
 SMALL_FRONTIER_ROWS = 200_000
 
 DOCS_SCHEMA = pa.schema(
@@ -167,9 +168,8 @@ def _etag(html: bytes) -> str:
 
 
 # Disposition schema of the selection: FRONTIER columns + status.  The group
-# fn returns Arrow tables cast to THIS schema so every block hashes
-# identically (pandas-metadata schemas are unhashable and flood Ray's
-# schema-dedup log).
+# fn returns Arrow tables cast to THIS schema, so the ranges' candidate
+# tables concatenate as they are, empty ones too.
 _DISP_SCHEMA = pa.schema(list(FRONTIER_SCHEMA) + [pa.field("status", pa.string())])
 
 
@@ -329,7 +329,13 @@ def _select_on_driver(frontier: pa.Table, robots: RobotsRules, gate: UrlGate,
     exact, and a row past its host's top k in the range is past it overall.
     In process when P = 1, in a ``_select_range`` task otherwise.  The name
     is kept for the benchmark tracer's ``TARGETS``."""
-    disp = robots_seen_batch(frontier, robots, seen_keys, gate)
+    return _topk_close(robots_seen_batch(frontier, robots, seen_keys, gate), k, deferred_dir)
+
+
+def _topk_close(disp: pa.Table, k: int, deferred_dir: str) -> tuple:
+    """Dedup and per-host top-k over a url-closed disposition table, then
+    its close: (status counts, candidate rows).  A range's selection ends
+    here, and so does stage 2 over the ranges' candidates."""
     disp = _disp_arrow(dedup_and_salt_topk(disp.to_pandas(), k))
     return _close_block(disp, deferred_dir), _only("cand")(disp)
 
@@ -419,29 +425,8 @@ def _fresh_dir(path: str) -> str:
     return path
 
 
-def _cand_span(tbl: pa.Table) -> tuple:
-    """(candidate rows, first ORDER_COLS key, last key) of one candidate
-    block; the keys are None for a block without candidates, such as an
-    empty partition of stage 2's sort, which has no columns either."""
-    if not tbl.num_rows:
-        return 0, None, None
-    cand = _only("cand")(tbl).select(ORDER_COLS)
-    if not cand.num_rows:
-        return 0, None, None
-
-    def end(order: str) -> tuple:
-        i = pc.select_k_unstable(cand, 1, [(col, order) for col in ORDER_COLS])
-        return tuple(cand.take(i).to_pylist()[0].values())
-
-    return cand.num_rows, end("ascending"), end("descending")
-
-
-_cand_span_remote = ray.remote(_cand_span)
-
-
 def _finalize_block(
-    tbl: pa.Table,
-    rank0: int,
+    cand: pa.Table,
     sel_n: int,
     seq_offset: int,
     rnd: int,
@@ -449,66 +434,44 @@ def _finalize_block(
     delays_ms: dict,
     deferred_dir: str,
     selected_dir: str,
-    part_id: int,
-):
-    """The schedule finalize for ONE candidate block.
+) -> pa.Table:
+    """The schedule finalize over the round's candidates, in process at
+    every P; returns the fetch feed.
 
-    Keeps the block's ``cand`` rows and puts them in the crawl order.  The
-    zip-with-index idiom: ``rank0`` is the block's global rank offset,
-    computed from per-block candidate counts only, so ``fetch_seq`` =
-    ``seq_offset + rank0 + arange`` numbers the round contiguously however
-    the candidates were split.  The first ``sel_n`` rows are the block's
-    share of the budget; the rest spill to the round's deferred parts.  The
-    schedule part lands in ``round=R/selected/`` (its url_hash column is the
-    round's seen delta).  The fetch feed follows as bucket-pure tables, so
-    each ``fetch_bucket_group`` call reads one pages bucket file; the first
-    value yielded is their bucket ids, the small value the driver groups
-    them by.
+    Puts ``cand`` in the crawl order and numbers it ``fetch_seq =
+    seq_offset + arange``.  The first ``sel_n`` rows are the schedule; the
+    rest spill to the round's one overflow part.  The schedule part is the
+    round's one ``round=R/selected/`` part (its url_hash column is the
+    round's seen delta).  The feed is the schedule plus two columns: the
+    pages ``bucket`` a row is fetched from, and its politeness offset.
 
     Politeness is a value in the feed (not in the schedule part): the j-th
     scheduled row of host h (0-based, in the crawl order) gets ``wait_s =
     (j+1) * delays_ms[h] / 1000``, a fresh ``TokenBucket``'s wait plus one
-    interval.  A block holds whole hosts, so j is the host's rank in the
-    round.  A P = 1 round runs this in process; a P > 1 round as
-    ``_finalize_remote``, one task per stage-2 block.
+    interval.
     """
-    cand = _only("cand")(tbl)
     cand = cand.take(global_order_indices(cand))
     sel = cand.slice(0, sel_n)
     over = cand.slice(sel_n)
     if over.num_rows:
         pq.write_table(
-            _cast_frontier_batch(over),
-            os.path.join(deferred_dir, f"overflow_{part_id}.parquet"),
+            _cast_frontier_batch(over), os.path.join(deferred_dir, "overflow_0.parquet")
         )
     n = sel.num_rows
-    if n == 0:
-        yield []
-        return
     sel = (
         _cast_frontier_batch(sel)
-        .append_column(
-            "fetch_seq", pa.array(seq_offset + rank0 + np.arange(n), pa.int64())
-        )
+        .append_column("fetch_seq", pa.array(seq_offset + np.arange(n), pa.int64()))
         .append_column("round", pa.array(np.full(n, rnd, np.int32), pa.int32()))
     )
-    pq.write_table(sel, os.path.join(selected_dir, f"part_{part_id:05d}.parquet"))
-    hosts = sel["host"].to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(np.r_[True, hosts[1:] != hosts[:-1]])
-    run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, n]))
-    delay_ms = np.array([delays_ms.get(h, 0) for h in hosts[starts]], np.float64)
-    wait_s = (np.arange(n) - starts[run] + 1) * delay_ms[run] / 1000.0
+    if n:
+        pq.write_table(sel, os.path.join(selected_dir, "part_00000.parquet"))
+    hosts = pd.Series(sel["host"].to_numpy(zero_copy_only=False))
+    j = hosts.groupby(hosts, sort=False).cumcount().to_numpy()
+    wait_s = (j + 1) * hosts.map(delays_ms).fillna(0).to_numpy(np.float64) / 1000.0
     buckets = (sel["url_hash"].to_numpy() % n_buckets).astype(np.int32)
-    feed = sel.append_column("wait_s", pa.array(wait_s, pa.float64())).append_column(
+    return sel.append_column("wait_s", pa.array(wait_s, pa.float64())).append_column(
         "bucket", pa.array(buckets, pa.int32())
     )
-    ids = np.unique(buckets).tolist()
-    yield ids
-    for b in ids:
-        yield feed.filter(pc.equal(feed["bucket"], b))
-
-
-_finalize_remote = ray.remote(num_returns="dynamic")(_finalize_block)
 
 
 class _LazyFrontier:
@@ -774,18 +737,13 @@ class _Crawl:
 
 class _Selection(NamedTuple):
     counts: dict  # status -> rows: robots, filtered, dup, seen, deferred
-    # Disposition tables, unsorted; their cand rows are the candidates, and
-    # each block's candidates are a key range disjoint from the others'.
-    blocks: list
-    on_driver: bool  # P = 1: the blocks are driver tables, not refs
+    cand: pa.Table  # disposition rows, unsorted; those with status cand are the candidates
 
 
 class _Schedule(NamedTuple):
     n_sel: int  # rows scheduled (attempted)
     n_overflow: int  # candidates cut by the budget
-    # The fetch feed: per pages bucket in ascending bucket id, its feeds
-    # (driver tables or refs) in fetch_seq order.
-    feeds: list
+    feed: pa.Table  # the fetch feed, in fetch_seq order, with wait_s and bucket
 
 
 # The fetch step's miss rows: the frontier row as fetched, plus its fetch_seq.
@@ -795,7 +753,9 @@ _NO_MISSES = pa.schema(list(FRONTIER_SCHEMA) + [pa.field("fetch_seq", pa.int64()
 def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
     """Gate, seen probe, dedup and politeness over the round's frontier in P
     url-closed url_hash ranges, each closed as it is selected: its deferred
-    part and its status counts."""
+    part and its status counts.  When P > 1 the ranges' candidates meet in
+    stage 2, in process.  Either way the round's candidates come back as one
+    driver table."""
     deferred_dir = _fresh_dir(c.round_dir(r, "frontier_deferred"))
     p = _n_ranges(frontier.num_rows)
     if p == 1:
@@ -803,94 +763,46 @@ def _select(c: _Crawl, frontier: _LazyFrontier, r: int) -> _Selection:
         # task would only add a launch and a copy of the frontier.
         counts, cand = _select_on_driver(frontier.to_table(), c.robots, c.gate, c.seen.keys,
                                          c.k, deferred_dir)
-        return _Selection(_sum_counts(counts), [cand], True)
+        return _Selection(_sum_counts(counts), cand)
 
     # Large round: the driver NEVER sees the full disposition (at 10^10 the
     # seen/dup rows ARE the frontier); each range task decides its rows where
     # it reads them and returns only its counts and candidates.
-    robots, k = ray.put(c.robots), c.k
+    robots = ray.put(c.robots)
     outs = [
-        _select_range_remote.remote(frontier.files, lo, hi, extra, robots, c.gate, seen, k,
+        _select_range_remote.remote(frontier.files, lo, hi, extra, robots, c.gate, seen, c.k,
                                     deferred_dir)
         for lo, hi, extra, seen in _split_ranges(frontier.extra, c.seen.keys, p)
     ]
-
-    def group(df: pd.DataFrame) -> pa.Table:
-        return _disp_arrow(dedup_and_salt_topk(df, k))
-
-    # Stage 2: exact per-host top-k over the ranges' candidates (distinct
-    # urls: the group's dedup finds nothing).  A range sort, not groupby(),
-    # which a hash shuffle turns into a hash repartition: each block holds
-    # whole hosts, a key range disjoint from the others', as the schedule
-    # takes them.
-    stage2 = (
-        rd.from_arrow_refs([cand for _, cand in outs])
-        .sort("host")
-        .map_batches(group, batch_format="pandas", batch_size=None)
-    ).materialize()
-    # Stage 2's close.  It counts rows the ranges counted as cand, so the
-    # summed cand entry is unused.  The sort's empty partitions are blocks
-    # without columns, hence the schema promotion.
-    closed = stage2.map_batches(
-        lambda t: _close_block(t, deferred_dir), batch_format="pyarrow", batch_size=None
-    ).materialize()  # to_arrow_refs on a lazy dataset runs it again for its schema
-    counts = _sum_counts(pa.concat_tables(
-        ray.get([n for n, _ in outs]) + ray.get(closed.to_arrow_refs()), promote_options="default"
-    ))
-    return _Selection(counts, stage2.to_arrow_refs(), False)
+    counts = ray.get([n for n, _ in outs])
+    cands = pa.concat_tables(ray.get([cand for _, cand in outs]))
+    # Stage 2, in process: exact per-host top-k over the ranges' candidates
+    # (at most P*k distinct urls per host, so the dedup finds nothing), then
+    # its close.  The close counts rows the ranges counted as cand, so the
+    # summed cand entry is unused.
+    stage2, cand = _topk_close(cands, c.k, deferred_dir)
+    return _Selection(_sum_counts(pa.concat_tables(counts + [stage2])), cand)
 
 
 def _schedule(c: _Crawl, sel: _Selection, r: int, seq_offset: int, remaining: int) -> _Schedule:
     """Put the round's candidates in the crawl order, then number, budget-cut
-    and write the fetch schedule.
-
-    One small call per block gives its candidate count and key range; the
-    blocks are ranked by first key, whatever order they arrive in, and each
-    block's rank offset is a prefix sum.  Then one finalize per block sorts
-    its own candidates; the budget cut is a prefix of the total order
-    (ORDER_COLS is unique per row) however the blocks were made.
-    """
-    selected_dir = _fresh_dir(c.round_dir(r, "selected"))
-    deferred_dir = c.round_dir(r, "frontier_deferred")
-    if sel.on_driver:
-        spans = [_cand_span(b) for b in sel.blocks]
-    else:
-        spans = ray.get([_cand_span_remote.remote(b) for b in sel.blocks])
-    ranked = sorted(
-        ((sp, b) for sp, b in zip(spans, sel.blocks) if sp[0]), key=lambda x: x[0][1]
-    )
-    if any(a[2] >= b[1] for (a, _), (b, _) in zip(ranked, ranked[1:])):
-        raise RuntimeError("candidate blocks overlap in the crawl order")
-    rows = np.asarray([sp[0] for sp, _ in ranked], np.int64)
-    starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(rows)])
-    n_sel = int(min(starts[-1], remaining))
-    delays = c.delays_ms if sel.on_driver else ray.put(c.delays_ms)
-    args = [
-        (b, int(starts[i]), int(np.clip(n_sel - starts[i], 0, rows[i])), seq_offset,
-         r, c.n_buckets, delays, deferred_dir, selected_dir, i)
-        for i, (_, b) in enumerate(ranked)
-    ]
-    if sel.on_driver:
-        outs = [list(_finalize_block(*a)) for a in args]
-        ids = [o[0] for o in outs]
-    else:
-        outs = [list(g) for g in ray.get([_finalize_remote.remote(*a) for a in args])]
-        ids = ray.get([o[0] for o in outs])
-    feeds: dict = {}
-    for bs, o in zip(ids, outs):
-        for b, feed in zip(bs, o[1:]):
-            feeds.setdefault(b, []).append(feed)
-    return _Schedule(n_sel, int(starts[-1]) - n_sel, [feeds[b] for b in sorted(feeds)])
+    and write the fetch schedule: one in-process finalize over one table."""
+    cand = _only("cand")(sel.cand)
+    n_sel = min(cand.num_rows, remaining)
+    feed = _finalize_block(cand, n_sel, seq_offset, r, c.n_buckets, c.delays_ms,
+                           c.round_dir(r, "frontier_deferred"),
+                           _fresh_dir(c.round_dir(r, "selected")))
+    return _Schedule(n_sel, cand.num_rows - n_sel, feed)
 
 
 def _fetch_extract_feed(feed: pa.Table, pages_dir: str, max_depth: int, with_markdown: bool,
-                        docs_dir: str, children_dir: str, *more: pa.Table,
+                        docs_dir: str, children_dir: str, *,
                         fetch_start: float, block_bytes: int) -> pa.Table:
-    """Fetch, extract and write ONE fetch task's rows — ``feed`` plus
-    ``more``, the feeds of one or more pages buckets — as one docs part and
-    one children part, both named by the task's smallest fetch_seq (tasks
-    hold disjoint buckets, so a re-run task overwrites its own parts).
-    Returns the miss rows (``_NO_MISSES`` schema).
+    """Fetch, extract and write ONE fetch task's rows, those of one or more
+    pages buckets, as one docs part and one children part, both named by the
+    task's smallest fetch_seq (tasks hold disjoint buckets, so a re-run task
+    overwrites its own parts).  Returns the miss rows (``_NO_MISSES``
+    schema).
 
     The rows are fetched on one timeline in ascending ``wait_s`` groups: the
     first group no earlier than ``fetch_start`` plus its offset, each later
@@ -901,7 +813,6 @@ def _fetch_extract_feed(feed: pa.Table, pages_dir: str, max_depth: int, with_mar
     ``block_bytes``; then one ``extract_batch_fn`` and one
     ``explode_links_batch`` over the buffer append one row group to each
     part, so a task holds at most one block plus one bucket chunk."""
-    feed = pa.concat_tables([feed, *more]) if more else feed
     name = f"part_{pc.min(feed['fetch_seq']).as_py():012d}.parquet"
     waits, buckets = feed["wait_s"].to_numpy(), feed["bucket"].to_numpy()
     buf, misses, prev_w, prev_end = [], [], 0.0, fetch_start
@@ -942,19 +853,20 @@ _fetch_extract_remote = ray.remote(num_cpus=_FETCH_CPUS)(_fetch_extract_feed)
 
 def _fetch_extract(c: _Crawl, sched: _Schedule, r: int) -> pa.Table:
     """Fetch and extract the schedule in min(buckets, ``c.fetch_slots``)
-    plain tasks, and return the round's miss rows.  The feeds are already
-    partitioned by bucket and sorted by bucket id; task i of n takes buckets
-    i, i+n, ..., so this is a map with no exchange: no dataset is built."""
+    plain tasks, and return the round's miss rows.  Task i of n takes the
+    rows of the i-th, (i+n)-th, ... of the feed's sorted bucket ids, so this
+    is a map with no exchange: no dataset is built."""
     docs_dir = _fresh_dir(os.path.join(c.docs_dir, f"round={r}"))
     children_dir = _fresh_dir(c.round_dir(r, "frontier_children"))
     args = (c.pages_dir, c.max_depth, c.with_markdown, docs_dir, children_dir)
-    n = min(len(sched.feeds), c.fetch_slots)
-    tasks = [[f for feeds in sched.feeds[i::n] for f in feeds] for i in range(n)]
+    buckets = sched.feed["bucket"].to_numpy()
+    ids = np.unique(buckets)
+    n = min(len(ids), c.fetch_slots)
     fetch_start = time.time()
     misses = ray.get([
-        _fetch_extract_remote.remote(feeds[0], *args, *feeds[1:], fetch_start=fetch_start,
-                                     block_bytes=c.block_bytes)
-        for feeds in tasks
+        _fetch_extract_remote.remote(sched.feed.filter(np.isin(buckets, ids[i::n])), *args,
+                                     fetch_start=fetch_start, block_bytes=c.block_bytes)
+        for i in range(n)
     ])
     misses = pa.concat_tables([_NO_MISSES, *misses]).sort_by("fetch_seq")
     # Sink validation (UploadResponse analog): per-file row counts + schema

@@ -20,12 +20,12 @@ run as a two-stage tree over url-closed url_hash ranges —
 
     stage 1: one range of salts (salt = url_hash >> 59, the top 4 of its 63
              bits) -> exact in-round dedup (same url => same range) +
-             per-host top-k within the range
-    stage 2: sort(host), then the same function over blocks of whole hosts
-             (<= P*k distinct survivors per host, P <= N_SALT ranges) ->
-             exact top-k
+             per-host top-k within the range, in the range's task
+    stage 2: the same function, in process on the driver, over the
+             concatenation of the ranges' candidates (<= P*k distinct
+             survivors per host, P <= N_SALT ranges) -> exact top-k
 
-so no stage-2 group ever exceeds ``N_SALT * k`` rows per host even for a hot
+so stage 2 never holds more than ``N_SALT * k`` rows per host even for a hot
 host with 10^8 candidate URLs, and the result is exactly the unpartitioned
 per-host top-k.  A frontier small enough for one pass is one range (P = 1)
 and needs no stage 2.
@@ -119,7 +119,9 @@ def dedup_and_salt_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
 
 
 def host_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Exact top-k over one host's range winners: stage 2's test reference."""
+    """Exact top-k over one host's range winners: a test reference for
+    stage 2, which runs ``dedup_and_salt_topk`` over every host's winners in
+    one call.  The name is kept for the benchmark tracer's ``TARGETS``."""
     cand = df[df["status"] == "cand"]
     other = df[df["status"] != "cand"]
     cand = cand.sort_values(["depth", "priority", "discovery_seq"], kind="mergesort")

@@ -13,8 +13,8 @@ explicit:
 - wall-clock politeness (``crawl(enforce_delays=True)``) honouring
   ``crawl_delay_ms`` as a value, not a service: the schedule gives host h's
   j-th fetch of a round the offset ``(j+1) * crawl_delay_ms / 1000`` from the
-  round's fetch start (``engine.crawl._finalize_block``), and each fetch
-  task sleeps until its largest offset.  ``TokenBucket`` is the reference
+  round's fetch start (``engine.crawl._finalize_block``), and a fetch task
+  fetches no row before its offset.  ``TokenBucket`` is the reference
   that offset is tested against.  Off in tests/bench (the sandbox "fetch"
   is a parquet lookup, so sleeping would only measure sleep).
 """

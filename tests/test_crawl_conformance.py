@@ -130,11 +130,12 @@ def test_robots_blocking_fires(small_corpus, tmp_path):
 
 
 def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monkeypatch):
-    """Force the salted distributed selection branch and re-check conformance.
-
-    (The driver-side branch handles budget-bounded small rounds; this pins the
-    large-frontier path to the same oracle.)
-    """
+    """Force every round into P = 16 url_hash range tasks and re-check
+    conformance: counters, order and seen set equal the oracle's, each round
+    writes one schedule part, and the fetch step launches min(buckets,
+    slots) tasks a round.  Under a tight budget the cut spills one overflow
+    part and still matches, and a resume through P > 1 rounds reproduces
+    the full run."""
     import ray
 
     import engine.crawl as crawl_mod
@@ -142,18 +143,8 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
     from engine.oracle import crawl_oracle
 
     monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
-    # a large frontier always finalizes remotely, however few its candidates
-    finalized = []
-    remote = crawl_mod._finalize_remote
-
-    class FinalizeSpy:
-        def remote(self, *args):
-            finalized.append(args[-1])  # the part id; no block refs held
-            return remote.remote(*args)
-
-    monkeypatch.setattr(crawl_mod, "_finalize_remote", FinalizeSpy())
-    # the fetch step merges each bucket's feeds across blocks and spreads the
-    # round's buckets over the free fetch slots: min(buckets, slots) tasks
+    # the fetch step spreads the round's buckets over the free fetch slots:
+    # min(buckets, slots) tasks
     launched = Counter()
     fetch_remote = crawl_mod._fetch_extract_remote
 
@@ -168,18 +159,42 @@ def test_distributed_selection_path_matches_oracle(small_corpus, tmp_path, monke
     oracle = crawl_oracle(corpus_dir, budget)
     ck = str(tmp_path / "ckpt_dist")
     engine = crawl_mod.crawl(corpus_dir, ck, budget)
-    assert finalized, "the remote finalize never ran"
     assert launched and max(launched.values()) <= cfg.n_buckets, launched
     slots = max(1, int(ray.cluster_resources()["CPU"]) // crawl_mod._FETCH_CPUS)
     for r in range(engine.rounds):
         buckets = set((read_seen_delta(ck, r) % cfg.n_buckets).tolist())
         assert launched[os.path.join(ck, "docs", f"round={r}")] == min(len(buckets), slots), r
+        assert os.listdir(os.path.join(ck, f"round={r}", "selected")) == ["part_00000.parquet"]
     assert engine.cumulative == oracle["cumulative"]
     got = engine.order_table().to_pylist()
     assert [(r["fetch_seq"], r["url"]) for r in got] == [
         (r["fetch_seq"], r["url"]) for r in oracle["order"]
     ]
     assert set(engine.seen_hashes().tolist()) == oracle["seen_hashes"]
+
+    # tight budget: the cut fires mid-round and the rest of the round's
+    # candidates spill into its one overflow part
+    tight = dict(budget, max_urls_total=25)
+    t_oracle = crawl_oracle(corpus_dir, tight)
+    t_dir = str(tmp_path / "ckpt_dist_tight")
+    t_engine = crawl_mod.crawl(corpus_dir, t_dir, tight)
+    assert t_engine.cumulative == t_oracle["cumulative"]
+    assert t_engine.cumulative["attempted"] == 25
+    assert [(x["fetch_seq"], x["url"]) for x in t_engine.order_table().to_pylist()] == [
+        (x["fetch_seq"], x["url"]) for x in t_oracle["order"]
+    ]
+    overflow = [glob(os.path.join(t_dir, f"round={r}", "frontier_deferred", "overflow_*.parquet"))
+                for r in range(t_engine.rounds)]
+    assert any(overflow), "the budget cut never spilled"
+    assert max(map(len, overflow)) == 1
+
+    # stop after round 1, resume through P > 1 rounds: bit-identical
+    b = str(tmp_path / "ckpt_dist_resume")
+    crawl_mod.crawl(corpus_dir, b, budget, stop_after_round=1)
+    resumed = crawl_mod.crawl(corpus_dir, b, budget)
+    assert resumed.cumulative == engine.cumulative
+    assert resumed.order_table().to_pylist() == engine.order_table().to_pylist()
+    assert set(resumed.seen_hashes().tolist()) == set(engine.seen_hashes().tolist())
 
 
 def test_hot_host_skew_distributed_path(tmp_path, ray_session, monkeypatch):
@@ -200,6 +215,41 @@ def test_hot_host_skew_distributed_path(tmp_path, ray_session, monkeypatch):
     assert [(x["fetch_seq"], x["url"]) for x in got] == [
         (x["fetch_seq"], x["url"]) for x in oracle["order"]
     ]
+
+
+def test_stage2_sees_at_most_p_k_candidates_per_host(small_corpus, tmp_path, monkeypatch):
+    """When P > 1 the range tasks run dedup_and_salt_topk in Ray workers,
+    so the driver's one call a round is stage 2's: its input holds only the
+    ranges' candidates, at most P*k per host, and some host brings more
+    than k of them, so stage 2's cut is exercised.  The crawl equals the
+    oracle."""
+    import engine.crawl as crawl_mod
+    from engine.oracle import crawl_oracle
+
+    monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
+    ps, inputs = [], []
+    split, topk = crawl_mod._split_ranges, crawl_mod.dedup_and_salt_topk
+
+    def split_spy(extra, keys, p):
+        ps.append(p)
+        return split(extra, keys, p)
+
+    def topk_spy(df, k):
+        per_host = df.groupby("host").size()
+        inputs.append((set(df["status"]), int(per_host.max()) if len(df) else 0, k))
+        return topk(df, k)
+
+    monkeypatch.setattr(crawl_mod, "_split_ranges", split_spy)
+    monkeypatch.setattr(crawl_mod, "dedup_and_salt_topk", topk_spy)
+    corpus_dir, _cfg = small_corpus
+    budget = {"max_urls_total": 150, "max_per_host_per_round": 5, "max_depth": 5, "max_rounds": 6}
+    engine = crawl_mod.crawl(corpus_dir, str(tmp_path / "ckpt"), budget)
+    assert len(ps) == len(inputs) == engine.rounds
+    for p, (statuses, per_host, k) in zip(ps, inputs):
+        assert p == 16 and statuses <= {"cand"}
+        assert per_host <= p * k
+    assert any(per_host > k for _, per_host, k in inputs), inputs
+    assert engine.cumulative == crawl_oracle(corpus_dir, budget)["cumulative"]
 
 
 def test_resume_reproduces_uninterrupted_run(small_corpus, tmp_path):
@@ -394,40 +444,54 @@ def _kill_in_select(monkeypatch, crawl_mod, ck):
 
 
 def _kill_in_schedule(monkeypatch, crawl_mod, ck):
-    """Inside ``_schedule``, once the first ``selected/`` part is written."""
+    """Inside ``_schedule``, once the round's ``selected/`` part is written."""
     finalize = crawl_mod._finalize_block
 
     def killed(*args):
-        out = finalize(*args)
-        ids = next(out)  # the block's schedule part is on disk
-        if args[4] == KILL_ROUND:
+        out = finalize(*args)  # the round's schedule part is on disk
+        if args[3] == KILL_ROUND:
             raise _Killed
-        yield ids
-        yield from out
+        return out
 
     monkeypatch.setattr(crawl_mod, "_finalize_block", killed)
     return lambda: glob(os.path.join(ck, f"round={KILL_ROUND}", "selected", "*.parquet"))
 
 
+def _in_ranges(kill):
+    """``kill`` in a crawl whose every round selects in P = 16 range tasks,
+    so the in-process close that ``_kill_in_select`` stops at is stage 2's."""
+
+    def at_p16(monkeypatch, crawl_mod, ck):
+        monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
+        return kill(monkeypatch, crawl_mod, ck)
+
+    return at_p16
+
+
 @pytest.mark.parametrize(
-    "kill", [_kill_before_success, _kill_in_select, _kill_in_schedule],
-    ids=["before_success", "in_select", "in_schedule"],
+    "kill",
+    [_kill_before_success, _kill_in_select, _kill_in_schedule,
+     _in_ranges(_kill_in_select), _in_ranges(_kill_in_schedule)],
+    ids=["before_success", "in_select", "in_schedule", "in_select_p16", "in_schedule_p16"],
 )
 def test_resume_after_kill_matches_oracle(crawl_pair, tmp_path, monkeypatch, kill):
     """A driver killed mid-round leaves the round's partial files on disk
     without ``_SUCCESS``.  The resume re-runs that round from the complete
     rounds alone — the seen value is rebuilt from their ``selected/`` parts,
     not the killed round's — and matches the oracle on counters, order and
-    seen set, with every docs manifest valid."""
+    seen set, with every docs manifest valid.  The resume selects at the
+    killed crawl's SMALL_FRONTIER_ROWS."""
     import engine.crawl as crawl_mod
     from engine.checkpoint import validate_docs_output
 
     corpus_dir, oracle, _engine = crawl_pair
     ck = str(tmp_path / "ckpt")
     left_behind = kill(monkeypatch, crawl_mod, ck)
+    small = crawl_mod.SMALL_FRONTIER_ROWS
     with pytest.raises(_Killed):
         crawl_mod.crawl(corpus_dir, ck, BUDGET)
     monkeypatch.undo()
+    monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", small)
     assert left_behind(), "the kill left none of the round's files"
     assert not os.path.exists(os.path.join(ck, f"round={KILL_ROUND}", "_SUCCESS"))
 
@@ -864,77 +928,8 @@ def test_lazy_frontier_handoff_engages_and_matches(small_corpus, tmp_path, monke
     assert not any(read_rows), read_rows
 
 
-def test_distributed_schedule_finalize_matches_oracle(small_corpus, tmp_path, monkeypatch):
-    """Force the DISTRIBUTED schedule finalize (key-ranked blocks + prefix-sum
-    rank offsets) on every round and re-check full conformance: the driver
-    never holds the candidate set, yet fetch_seq numbering, the seen set,
-    per-round counters and the extracted text are bit-identical to the
-    sequential oracle.  Also proves the distributed finalize ran (a spy on
-    its task launches; schedule parts in round=R/selected/, no
-    selected.parquet) and that a kill+resume THROUGH a distributed round
-    reproduces the full run."""
-    import engine.crawl as crawl_mod
-    from engine.oracle import crawl_oracle
-
-    monkeypatch.setattr(crawl_mod, "SMALL_FRONTIER_ROWS", 0)
-    # both selection paths write round=R/selected/, so the layout alone
-    # cannot prove the distributed finalize ran: count its task launches
-    finalized = []
-    remote = crawl_mod._finalize_remote
-
-    class FinalizeSpy:
-        def remote(self, *args):
-            finalized.append(args[-1])  # the part id; no block refs held
-            return remote.remote(*args)
-
-    monkeypatch.setattr(crawl_mod, "_finalize_remote", FinalizeSpy())
-    corpus_dir, _cfg = small_corpus
-    budget = {"max_urls_total": 150, "max_per_host_per_round": 5, "max_depth": 5, "max_rounds": 6}
-    oracle = crawl_oracle(corpus_dir, budget)
-    a = str(tmp_path / "ckpt_dsf")
-    engine = crawl_mod.crawl(corpus_dir, a, budget)
-    assert finalized, "the remote finalize never ran"
-    assert engine.cumulative == oracle["cumulative"]
-    got = engine.order_table().to_pylist()
-    assert [(x["fetch_seq"], x["url"]) for x in got] == [
-        (x["fetch_seq"], x["url"]) for x in oracle["order"]
-    ]
-    assert set(engine.seen_hashes().tolist()) == oracle["seen_hashes"]
-    # the distributed layout engaged: schedule parts, not a driver table
-    dist_rounds = [
-        r for r in range(engine.rounds)
-        if os.path.isdir(os.path.join(a, f"round={r}", "selected"))
-    ]
-    assert dist_rounds, "distributed finalize never engaged"
-    for r in dist_rounds:
-        assert not os.path.exists(os.path.join(a, f"round={r}", "selected.parquet"))
-        assert not os.path.exists(os.path.join(a, f"round={r}", "seen_delta.parquet"))
-    # tight budget: truncation fires mid-round, overflow rows spill into the
-    # round's deferred parquet parts (never a driver table) and the oracle
-    # still matches exactly
-    tight = dict(budget, max_urls_total=25)
-    t_oracle = crawl_oracle(corpus_dir, tight)
-    t_dir = str(tmp_path / "ckpt_dsf_tight")
-    t_engine = crawl_mod.crawl(corpus_dir, t_dir, tight)
-    assert t_engine.cumulative == t_oracle["cumulative"]
-    assert t_engine.cumulative["attempted"] == 25
-    assert [(x["fetch_seq"], x["url"]) for x in t_engine.order_table().to_pylist()] == [
-        (x["fetch_seq"], x["url"]) for x in t_oracle["order"]
-    ]
-    overflow_parts = glob(os.path.join(t_dir, "round=*", "frontier_deferred", "overflow_*.parquet"))
-    assert overflow_parts, "budget overflow never spilled distributed"
-
-    # kill after round 1, resume through distributed rounds: bit-identical
-    b = str(tmp_path / "ckpt_dsf_resume")
-    crawl_mod.crawl(corpus_dir, b, budget, stop_after_round=1)
-    resumed = crawl_mod.crawl(corpus_dir, b, budget)
-    assert resumed.cumulative == engine.cumulative
-    assert resumed.order_table().to_pylist() == engine.order_table().to_pylist()
-    assert set(resumed.seen_hashes().tolist()) == set(engine.seen_hashes().tolist())
-
-
-def _schedule_parts(tmp, blocks, remaining):
-    """Run the schedule step on driver blocks; return its (selected rows,
+def _schedule_parts(tmp, cand, remaining):
+    """Run the schedule step on one driver table; return its (selected rows,
     overflow rows), each as one table in a canonical row order."""
     from types import SimpleNamespace
 
@@ -946,29 +941,28 @@ def _schedule_parts(tmp, blocks, remaining):
         round_dir=lambda r, sub: os.path.join(root, f"round={r}", sub),
     )
     os.makedirs(c.round_dir(0, "frontier_deferred"))
-    sel = crawl_mod._Selection({}, blocks, True)
-    sched = crawl_mod._schedule(c, sel, 0, 1000, remaining)
+    sched = crawl_mod._schedule(c, crawl_mod._Selection({}, cand), 0, 1000, remaining)
 
     def read(pattern):
-        files = glob(os.path.join(root, "round=0", pattern))
-        return pa.concat_tables([pq.read_table(f) for f in files])
+        (f,) = glob(os.path.join(root, "round=0", pattern))
+        return pq.read_table(f)
 
     selected = read("selected/*.parquet").sort_by("fetch_seq")
     overflow = read("frontier_deferred/overflow_*.parquet").sort_by("url")
     assert sched.n_sel == selected.num_rows == remaining
-    # the feeds are merged per pages bucket across blocks
+    # one feed table: the schedule in fetch_seq order, with each row's bucket
+    assert sched.feed.select(selected.column_names).equals(selected)
     buckets = (selected["url_hash"].to_numpy() % c.n_buckets).tolist()
-    assert len(sched.feeds) == len(set(buckets))
+    assert sched.feed["bucket"].to_pylist() == buckets
     assert sched.n_overflow == overflow.num_rows
     return selected, overflow
 
 
-def test_schedule_orders_blocks_whatever_their_arrival(tmp_path, ray_session):
-    """The schedule alone applies the crawl order: candidates split into
-    blocks of disjoint key ranges, handed over in shuffled block order with
-    unsorted rows and non-candidate rows mixed in, give the same schedule
-    parts, fetch_seq and budget overflow as one block; blocks whose key
-    ranges overlap are refused."""
+def test_schedule_orders_candidates_whatever_their_arrival(tmp_path, ray_session):
+    """The schedule alone applies the crawl order: shuffled rows with
+    non-candidate rows mixed in give the crawl order's prefix of the
+    candidate rows, numbered from the round's seq offset, and the rest of
+    the candidates as the round's one overflow part."""
     import random
 
     from engine.frontier import FRONTIER_SCHEMA, frontier_row
@@ -980,34 +974,24 @@ def test_schedule_orders_blocks_whatever_their_arrival(tmp_path, ray_session):
         for i, h in enumerate(hosts)
         for j in range(8)
     ]
+    rng.shuffle(rows)
     table = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
     status = [rng.choice(["cand", "cand", "cand", "deferred"]) for _ in rows]
     table = table.append_column("status", pa.array(status, pa.string()))
 
-    def block(host_ids):
-        idx = [i for i, r in enumerate(rows) if r["host"] in {hosts[h] for h in host_ids}]
-        rng.shuffle(idx)
-        return table.take(idx)
-
-    want = _schedule_parts(tmp_path / "one", [block(range(6))], remaining=25)
-    split = [block([0, 1]), block([2]), block([3, 4]), block([5])]
-    rng.shuffle(split)
-    got = _schedule_parts(tmp_path / "split", split, remaining=25)
-    assert got[0].to_pylist() == want[0].to_pylist()
-    assert got[1].to_pylist() == want[1].to_pylist()
-    assert want[0]["fetch_seq"].to_pylist() == list(range(1000, 1025))
+    selected, overflow = _schedule_parts(tmp_path, table, remaining=25)
+    assert selected["fetch_seq"].to_pylist() == list(range(1000, 1025))
     # the schedule is the crawl order's prefix of the candidate rows only
     cands = sorted(
         (r["host"], r["depth"], r["priority"], r["discovery_seq"])
         for r, st in zip(rows, status) if st == "cand"
     )
     assert [
-        (r["host"], r["depth"], r["priority"], r["discovery_seq"]) for r in want[0].to_pylist()
+        (r["host"], r["depth"], r["priority"], r["discovery_seq"]) for r in selected.to_pylist()
     ] == cands[:25]
-    assert want[1].num_rows == len(cands) - 25
-
-    with pytest.raises(RuntimeError, match="overlap"):
-        _schedule_parts(tmp_path / "overlap", [block([0, 2]), block([1])], remaining=25)
+    assert sorted(
+        (r["host"], r["depth"], r["priority"], r["discovery_seq"]) for r in overflow.to_pylist()
+    ) == cands[25:]
 
 
 @pytest.mark.parametrize(
@@ -1018,12 +1002,11 @@ def test_schedule_orders_blocks_whatever_their_arrival(tmp_path, ray_session):
 def test_range_count_follows_the_frontier_size(tmp_path, ray_session, monkeypatch, small,
                                                want_tasks):
     """A round selects in P url_hash range tasks: none up to
-    SMALL_FRONTIER_ROWS frontier rows, where it runs no Ray Data execution
-    either; else the least power of two whose ranges average at most that
-    many rows, up to N_SALT = 16.  The seed's round has 1 row, the next one
+    SMALL_FRONTIER_ROWS frontier rows, else the least power of two whose
+    ranges average at most that many rows, up to N_SALT = 16.  The seed's round has 1 row, the next one
     the seed's 25 links (files), the last the 3 dead links' retries (a
-    file).  A round with P > 1 runs exactly 2 Ray Data executions (stage 2's
-    sort and its close).  Every case equals the oracle."""
+    file).  No round runs a Ray Data execution, at any P: stage 2 and its
+    close run in process.  Every case equals the oracle."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     import engine.crawl as crawl_mod
@@ -1063,7 +1046,7 @@ def test_range_count_follows_the_frontier_size(tmp_path, ray_session, monkeypatc
     assert engine.rounds == len(want_tasks)
     assert [launched[os.path.join(ck, f"round={r}", "frontier_deferred")]
             for r in range(engine.rounds)] == want_tasks
-    assert len(executions) == 2 * sum(1 for n in want_tasks if n)
+    assert executions == []
     oracle = crawl_oracle(corpus, budget)
     assert engine.cumulative == oracle["cumulative"]
     assert oracle["cumulative"]["failed"] == 3

@@ -84,8 +84,8 @@ def test_salted_two_stage_equals_unsalted(seed, k):
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_range_salted_two_stage_equals_unsalted(seed, k, p):
     """Stage 1 over P url_hash ranges (runs of N_SALT/P range salts,
-    url_hash >> 59) + stage 2 as the engine runs it (the same group function
-    over blocks of whole hosts of the ranges' candidates) == exact per-host
+    url_hash >> 59) + stage 2 as the engine runs it (one call of the same
+    group function over all the ranges' candidates) == exact per-host
     top-k, with every input row accounted for exactly once."""
     df = _rand_frontier(600, n_hosts=5, n_urls=80, seed=seed)
     df["salt"] = add_salt(pa.Table.from_pandas(df[["url_hash"]]))["salt"].to_numpy()
@@ -96,14 +96,9 @@ def test_range_salted_two_stage_equals_unsalted(seed, k, p):
     )
     # at most P*k candidates per host reach stage 2
     assert stage1[stage1["status"] == "cand"].groupby("host").size().max() <= p * k
-    survivors = stage1[stage1["status"] == "cand"]
-    hosts = sorted(survivors["host"].unique())
     final = pd.concat(
-        [stage1[stage1["status"] != "cand"]]
-        + [
-            dedup_and_salt_topk(survivors[survivors["host"].isin(b)], k)
-            for b in np.array_split(np.asarray(hosts), 3)
-        ],
+        [stage1[stage1["status"] != "cand"],
+         dedup_and_salt_topk(stage1[stage1["status"] == "cand"], k)],
         ignore_index=True,
     )
     assert set(final[final["status"] == "cand"]["url"]) == _reference_selection(df, k)

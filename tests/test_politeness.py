@@ -104,9 +104,8 @@ def test_politeness_offset_is_a_token_bucket_wait(tmp_path):
         deferred, selected = (str(tmp_path / name / d) for d in ("deferred", "selected"))
         os.makedirs(deferred)
         os.makedirs(selected)
-        ids, *feeds = _finalize_block(tbl, 0, sel_n, 100, 0, 4, delays, deferred, selected, 0)
-        assert len(ids) == len(feeds)
-        feed = pa.concat_tables(feeds).sort_by("fetch_seq").to_pylist()
+        feed = _finalize_block(tbl, sel_n, 100, 0, 4, delays, deferred, selected)
+        feed = feed.sort_by("fetch_seq").to_pylist()
         assert len(feed) == sel_n
         j: dict = {}
         for row in feed:
